@@ -449,12 +449,20 @@ func (m *Multi) Transfer(kind vm.TransferKind, instrs uint64) {
 }
 
 // Err returns the first structured error any fanned-out predictor
-// accumulated, or nil. Callers attaching a Multi must check it after
-// the run, exactly as they would a single predictor's Err.
+// accumulated, then the first Extra tracer that counted out-of-range
+// sites (any Extra with an OutOfRange() uint64 method, such as the
+// runlength recorders), or nil. Callers attaching a Multi must check
+// it after the run, exactly as they would a single predictor's Err.
 func (m *Multi) Err() error {
 	for _, p := range m.Predictors {
 		if err := p.Err(); err != nil {
 			return err
+		}
+	}
+	for _, t := range m.Extra {
+		if r, ok := t.(interface{ OutOfRange() uint64 }); ok && r.OutOfRange() > 0 {
+			return fmt.Errorf("dynpred: %T tracer saw %d event(s) at out-of-range site(s); program and tracer disagree on the compiled shape",
+				t, r.OutOfRange())
 		}
 	}
 	return nil

@@ -3,9 +3,12 @@ package dynpred
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"branchprof/internal/predict"
+	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
 )
 
@@ -400,5 +403,30 @@ func TestStaleSiteCountDoesNotPanic(t *testing.T) {
 	m.Branch(3, true, 0)
 	if m.Err() == nil {
 		t.Error("Multi.Err() = nil after fanning out an oob event")
+	}
+}
+
+// TestMultiErrReportsUndersizedExtra is the regression test for the
+// Extra gap: Multi.Err used to consult only its Predictors, so an
+// Extra recorder sized for fewer sites than the program has skipped
+// events silently. Each undersized recorder must surface alone.
+func TestMultiErrReportsUndersizedExtra(t *testing.T) {
+	for _, rec := range []vm.Tracer{
+		runlength.NewSites(1),
+		runlength.New(&predict.Prediction{Dir: []predict.Direction{predict.Taken}}),
+	} {
+		m := &Multi{Predictors: Zoo(4), Extra: []vm.Tracer{rec}}
+		m.Branch(0, true, 1)
+		if err := m.Err(); err != nil {
+			t.Fatalf("%T: Err() = %v on an in-range stream", rec, err)
+		}
+		m.Branch(3, false, 2) // in range for the zoo, beyond the recorder
+		err := m.Err()
+		if err == nil {
+			t.Fatalf("%T: Multi.Err() = nil after the recorder skipped an event", rec)
+		}
+		if !strings.Contains(err.Error(), "1 event(s)") {
+			t.Errorf("%T: Err() = %q, want the skipped-event count", rec, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"branchprof/internal/dynpred"
 	"branchprof/internal/predict"
@@ -43,22 +44,65 @@ func toDirs(pr *predict.Prediction) []bool {
 	return dirs
 }
 
-// tracedPredictors builds the full predictor set for one measured run
-// — self and sum-of-others static tables plus the dynamic zoo — and
-// replays the run once with everything attached to the identical
-// branch stream. Returns the predictors in order (self, others,
-// 1-bit, 2-bit, two-level, gshare, bimode) plus the replay's result.
-// extra tracers (e.g. a runlength recorder) observe the same stream.
-func tracedPredictors(p *ProgramRuns, r *Run, extra ...vm.Tracer) ([]dynpred.Predictor, *vm.Result, error) {
+// tracedReplay is what the replay studies (StaticVsDynamic,
+// InstrsPerMispredict, H2PStudy, RunLengths) read from one program's
+// traced first-dataset run. It keeps the measured summaries, never
+// the raw run-length slice, so a long-lived suite pins little memory.
+type tracedReplay struct {
+	// preds in report order: self, others, 1-bit, 2-bit, two-level,
+	// gshare, bimode.
+	preds  []dynpred.Predictor
+	instrs uint64
+	sites  []runlength.SiteStats // per-site outcome statistics
+	runs   runlength.Stats       // break-to-break runs under self
+	hist   string                // runs' log2 histogram
+}
+
+// replayMemo holds a suite's traced replays, built on first use by
+// whichever replay study asks first.
+type replayMemo struct {
+	once sync.Once
+	rows []tracedReplay
+	err  error
+}
+
+// replays returns every program's traced replay in program order. The
+// first call replays each program's first dataset once, concurrently
+// through the package engine; later calls, from any goroutine, read
+// the memo. Slots are preassigned, so the rows (and the first error,
+// in program order) are identical to a serial pass.
+func (s *Suite) replays() ([]tracedReplay, error) {
+	m := &s.replay
+	m.once.Do(func() {
+		rows := make([]tracedReplay, len(s.Programs))
+		m.err = Engine().Parallel(len(s.Programs), func(i int) error {
+			var err error
+			rows[i], err = replayProgram(s.Programs[i])
+			return err
+		})
+		if m.err == nil {
+			m.rows = rows
+		}
+	})
+	return m.rows, m.err
+}
+
+// replayProgram runs p's first dataset once with everything the replay
+// studies measure attached to the identical branch stream: the self
+// and sum-of-others static tables, the dynamic zoo, a per-site outcome
+// recorder and a run-length recorder under self prediction.
+// Single-dataset programs reuse self as others.
+func replayProgram(p *ProgramRuns) (tracedReplay, error) {
+	r := p.Runs[0]
 	self, err := selfPrediction(p, r)
 	if err != nil {
-		return nil, nil, err
+		return tracedReplay{}, err
 	}
 	others := self
 	if p.Multi() {
 		others, err = predict.Combine(p.OtherProfiles(0), predict.Scaled, p.Prog.Sites, predict.LoopHeuristic)
 		if err != nil {
-			return nil, nil, err
+			return tracedReplay{}, err
 		}
 	}
 	preds := []dynpred.Predictor{
@@ -66,17 +110,28 @@ func tracedPredictors(p *ProgramRuns, r *Run, extra ...vm.Tracer) ([]dynpred.Pre
 		dynpred.NewStatic("others", toDirs(others)),
 	}
 	preds = append(preds, dynpred.Zoo(len(p.Prog.Sites))...)
-	multi := &dynpred.Multi{Predictors: preds, Extra: extra}
+	sites := runlength.NewSites(len(p.Prog.Sites))
+	runs := runlength.New(self)
+	multi := &dynpred.Multi{Predictors: preds, Extra: []vm.Tracer{sites, runs}}
 	// Traced replays observe the execution, so the engine runs them
 	// fresh (never from cache) while still counting them in stats.
 	res, err := Engine().Run(p.Prog, "", p.InputFor(r), &vm.Config{Trace: multi})
+	if err == nil {
+		err = multi.Err()
+	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
+		return tracedReplay{}, fmt.Errorf("exp: traced replay of %s: %w", p.Workload.Name, err)
 	}
-	if err := multi.Err(); err != nil {
-		return nil, nil, fmt.Errorf("exp: dynamic replay of %s: %w", p.Workload.Name, err)
-	}
-	return preds, res, nil
+	// Close the distribution with the tail run (last break → program
+	// exit); without it that stretch silently vanishes.
+	runs.Finish(res.Instrs)
+	return tracedReplay{
+		preds:  preds,
+		instrs: res.Instrs,
+		sites:  sites.Stats(),
+		runs:   runs.Summarize(),
+		hist:   runs.Histogram(16),
+	}, nil
 }
 
 // missRate is mispredicts per executed conditional branch, 0 for a
@@ -89,36 +144,29 @@ func missRate(pr dynpred.Predictor) float64 {
 	return float64(pr.Mispredicts()) / float64(pr.Executed())
 }
 
-// StaticVsDynamic replays each program's first dataset through the
-// VM with every predictor attached, measuring them on an identical
-// branch stream. Programs with several datasets also get the
+// StaticVsDynamic compares every predictor's mispredict rate on each
+// program's first dataset, read from the suite's shared traced replay
+// (which runs on first use), so all schemes are measured on an
+// identical branch stream. Programs with several datasets also get the
 // sum-of-others static predictor; single-dataset programs reuse self.
-// Programs replay concurrently; each writes only its own row slot, so
-// the table order (and the first error reported) is identical to a
-// serial pass.
 func StaticVsDynamic(s *Suite) ([]DynRow, error) {
-	rows := make([]DynRow, len(s.Programs))
-	err := Engine().Parallel(len(s.Programs), func(i int) error {
-		p := s.Programs[i]
-		r := p.Runs[0]
-		preds, _, err := tracedPredictors(p, r)
-		if err != nil {
-			return err
-		}
-		rows[i] = DynRow{
-			Program: p.Workload.Name, Dataset: r.Dataset,
-			SelfRate:     missRate(preds[0]),
-			OthersRate:   missRate(preds[1]),
-			OneBitRate:   missRate(preds[2]),
-			TwoBitRate:   missRate(preds[3]),
-			TwoLevelRate: missRate(preds[4]),
-			GShareRate:   missRate(preds[5]),
-			BiModeRate:   missRate(preds[6]),
-		}
-		return nil
-	})
+	reps, err := s.replays()
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]DynRow, len(reps))
+	for i, rp := range reps {
+		p := s.Programs[i]
+		rows[i] = DynRow{
+			Program: p.Workload.Name, Dataset: p.Runs[0].Dataset,
+			SelfRate:     missRate(rp.preds[0]),
+			OthersRate:   missRate(rp.preds[1]),
+			OneBitRate:   missRate(rp.preds[2]),
+			TwoBitRate:   missRate(rp.preds[3]),
+			TwoLevelRate: missRate(rp.preds[4]),
+			GShareRate:   missRate(rp.preds[5]),
+			BiModeRate:   missRate(rp.preds[6]),
+		}
 	}
 	return rows, nil
 }
@@ -173,32 +221,25 @@ func schemeIPM(pr dynpred.Predictor, instrs uint64) SchemeIPM {
 	}
 }
 
-// InstrsPerMispredict is the predictor-zoo lane: each program's first
-// dataset replayed once with the static profile predictors and every
-// dynamic scheme attached, reported in instructions-per-mispredict so
-// profile-fed static prediction and the hardware schemes — including
-// the history-based ones the paper predates — line up on the paper's
-// own axis.
-// Programs replay concurrently with one preassigned row slot each, so
-// output ordering matches the serial pass bit for bit.
+// InstrsPerMispredict is the predictor-zoo lane: the static profile
+// predictors and every dynamic scheme on each program's first dataset,
+// read from the suite's shared traced replay (which runs on first use)
+// and reported in instructions-per-mispredict so profile-fed static
+// prediction and the hardware schemes — including the history-based
+// ones the paper predates — line up on the paper's own axis.
 func InstrsPerMispredict(s *Suite) ([]SchemeIPMRow, error) {
-	rows := make([]SchemeIPMRow, len(s.Programs))
-	err := Engine().Parallel(len(s.Programs), func(i int) error {
-		p := s.Programs[i]
-		r := p.Runs[0]
-		preds, res, err := tracedPredictors(p, r)
-		if err != nil {
-			return err
-		}
-		row := SchemeIPMRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: res.Instrs}
-		for _, pr := range preds {
-			row.Schemes = append(row.Schemes, schemeIPM(pr, res.Instrs))
-		}
-		rows[i] = row
-		return nil
-	})
+	reps, err := s.replays()
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]SchemeIPMRow, len(reps))
+	for i, rp := range reps {
+		p := s.Programs[i]
+		row := SchemeIPMRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset, Instrs: rp.instrs}
+		for _, pr := range rp.preds {
+			row.Schemes = append(row.Schemes, schemeIPM(pr, rp.instrs))
+		}
+		rows[i] = row
 	}
 	return rows, nil
 }
@@ -258,23 +299,24 @@ type H2PRow struct {
 // H2PStudy ranks each program's static branches by how expensive they
 // stay across every scheme (mispredicts per kilo-instruction, scored
 // by the best scheme's cost), following Lin & Tarsa's H2P framing:
-// the interesting branches are the ones history does not fix.
+// the interesting branches are the ones history does not fix. Costs
+// and outcome statistics come from the suite's shared traced replay
+// (which runs on first use); the top-n ranking is made per call, so
+// any n reads the same replay.
 func H2PStudy(s *Suite, n int) ([]H2PRow, error) {
-	rows := make([]H2PRow, len(s.Programs))
-	perr := Engine().Parallel(len(s.Programs), func(i int) error {
+	reps, err := s.replays()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]H2PRow, len(reps))
+	for i, rp := range reps {
 		p := s.Programs[i]
-		r := p.Runs[0]
-		rec := runlength.NewSites(len(p.Prog.Sites))
-		preds, res, err := tracedPredictors(p, r, rec)
-		if err != nil {
-			return err
+		schemes := make([]runlength.SchemeMisses, len(rp.preds))
+		for j, pr := range rp.preds {
+			schemes[j] = runlength.SchemeMisses{Scheme: pr.Name(), Misses: pr.SiteMispredicts()}
 		}
-		schemes := make([]runlength.SchemeMisses, len(preds))
-		for i, pr := range preds {
-			schemes[i] = runlength.SchemeMisses{Scheme: pr.Name(), Misses: pr.SiteMispredicts()}
-		}
-		entries := runlength.RankH2P(rec.Stats(), res.Instrs, schemes, n)
-		row := H2PRow{Program: p.Workload.Name, Dataset: r.Dataset, Instrs: res.Instrs}
+		entries := runlength.RankH2P(rp.sites, rp.instrs, schemes, n)
+		row := H2PRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset, Instrs: rp.instrs}
 		for _, e := range entries {
 			site := p.Prog.Sites[e.Stats.Site]
 			row.Top = append(row.Top, H2PSite{
@@ -292,10 +334,6 @@ func H2PStudy(s *Suite, n int) ([]H2PRow, error) {
 			})
 		}
 		rows[i] = row
-		return nil
-	})
-	if perr != nil {
-		return nil, perr
 	}
 	return rows, nil
 }
@@ -336,36 +374,23 @@ type RunLengthRow struct {
 	Hist    string
 }
 
-// RunLengths replays each program's first dataset with a run-length
-// recorder under the self prediction. Replays run concurrently; row
-// slots are preassigned so the summary order matches a serial pass.
+// RunLengths summarizes each program's first-dataset run-length
+// distribution under the self prediction, read from the suite's
+// shared traced replay (which runs on first use).
 func RunLengths(s *Suite) ([]RunLengthRow, error) {
-	rows := make([]RunLengthRow, len(s.Programs))
-	perr := Engine().Parallel(len(s.Programs), func(i int) error {
+	reps, err := s.replays()
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]RunLengthRow, len(reps))
+	for i, rp := range reps {
 		p := s.Programs[i]
-		r := p.Runs[0]
-		self, err := selfPrediction(p, r)
-		if err != nil {
-			return err
-		}
-		rec := runlength.New(self)
-		res, err := Engine().Run(p.Prog, "", p.InputFor(r), &vm.Config{Trace: rec})
-		if err != nil {
-			return fmt.Errorf("exp: run-length replay of %s: %w", p.Workload.Name, err)
-		}
-		// Close the distribution with the tail run (last break →
-		// program exit); without it that stretch silently vanishes.
-		rec.Finish(res.Instrs)
 		rows[i] = RunLengthRow{
 			Program: p.Workload.Name,
-			Dataset: r.Dataset,
-			Stats:   rec.Summarize(),
-			Hist:    rec.Histogram(16),
+			Dataset: p.Runs[0].Dataset,
+			Stats:   rp.runs,
+			Hist:    rp.hist,
 		}
-		return nil
-	})
-	if perr != nil {
-		return nil, perr
 	}
 	return rows, nil
 }

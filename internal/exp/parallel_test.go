@@ -46,20 +46,26 @@ func studyRenders(t *testing.T, s *Suite) string {
 // every study must render byte-identically whether its per-program
 // fan runs on one worker or sixteen. Slot preassignment — not
 // scheduling luck — is what the studies rely on for ordering, and
-// this is the regression gate for it.
+// this is the regression gate for it. Each width gets a fresh suite
+// (collected warm through the shared suite's engine), so each performs
+// its own shared traced replay instead of reading the other's memo.
 func TestStudiesMatchSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite study sweep in -short mode")
 	}
-	s := suite(t)
+	suite(t) // warms the package engine's cache with the full matrix
 	prev := Engine()
 	defer SetEngine(prev)
 
-	SetEngine(engine.New(engine.Options{Workers: 1}))
-	seq := studyRenders(t, s)
-	SetEngine(engine.New(engine.Options{Workers: 16}))
-	wide := studyRenders(t, s)
-	if seq != wide {
+	renders := func(workers int) string {
+		s, err := CollectWith(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetEngine(engine.New(engine.Options{Workers: workers}))
+		return studyRenders(t, s)
+	}
+	if renders(1) != renders(16) {
 		t.Fatal("parallel studies render differently from sequential")
 	}
 }

@@ -116,6 +116,7 @@ type Suite struct {
 	cells    int      // size of the full matrix at collection time
 	programs int      // workloads registered at collection time
 	obs      *obs.Obs // collection engine's observability; may be nil
+	replay   replayMemo
 }
 
 // span opens a root-level span for a derived artifact (the "predict"
