@@ -62,7 +62,9 @@
 #                 further passes journal through the write-ahead log
 #                 under each fsync policy (-wal-fsync record/batch/
 #                 interval), so the trajectory prices durability too
-#   make bench-smoke  one-iteration run of the interpreter benchmark,
+#   make bench-smoke  one-iteration run of the interpreter and codegen
+#                 benchmarks, the predictor-zoo throughput benchmark and
+#                 the static-vs-dynamic study (one shared traced replay),
 #                 part of `make verify` so the perf harness can't rot
 
 GO ?= go
@@ -163,4 +165,4 @@ bench-server:
 		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-interval -o BENCH_SERVER.json
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$' -benchtime 1x .

@@ -42,9 +42,16 @@ func main() {
 		log.Fatal(err)
 	}
 	rec := runlength.New(pred)
-	if _, err := eng.Run(prog, "", input, &vm.Config{Trace: rec}); err != nil {
+	res, err := eng.Run(prog, "", input, &vm.Config{Trace: rec})
+	if err != nil {
 		log.Fatal(err)
 	}
+	if n := rec.OutOfRange(); n > 0 {
+		log.Fatalf("recorder skipped %d branch events at out-of-range sites", n)
+	}
+	// Close the distribution with the tail run from the last break to
+	// program exit, which no break event ends.
+	rec.Finish(res.Instrs)
 
 	stats := rec.Summarize()
 	fmt.Printf("espresso/%s under self prediction: %d breaks\n", w.Datasets[0].Name, stats.Count)

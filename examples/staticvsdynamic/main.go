@@ -89,6 +89,11 @@ func main() {
 	if _, err := eng.Run(prog, "", nil, &vm.Config{Trace: multi}); err != nil {
 		log.Fatal(err)
 	}
+	// The tracer contract: a predictor sized for a different compile of
+	// the program skips events, so check before trusting any count.
+	if err := multi.Err(); err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("binary search over a sorted table: mispredict rates")
 	for _, p := range []dynpred.Predictor{static, oneBit, twoBit} {

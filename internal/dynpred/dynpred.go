@@ -19,6 +19,13 @@
 // counted and surfaced as a structured *SiteRangeError from Err()
 // instead of panicking the run — and every scheme attributes its
 // mispredicts per site, which the H2P characterization lane consumes.
+//
+// Every scheme also implements BlockTracer. Multi, which attaches
+// many tracers to one run, buffers the run's events and hands each
+// tracer whole blocks, which a scheme scores in one tight loop instead
+// of one interface call per event. Each scheme's update rule is one
+// small function that Branch and Block share, so the two entry points
+// cannot drift apart.
 package dynpred
 
 import (
@@ -97,7 +104,9 @@ func newCore(name string, sites int) core {
 
 // admit bounds-checks a site id, recording rejects on the error
 // surface. Every scheme's Branch must call it first and return early
-// on false, so the contract is identical across the zoo.
+// on false, and every Block kernel must route the events its own
+// bounds check rejects through it, so the contract is identical across
+// the zoo and its two entry points.
 func (c *core) admit(site int32) bool {
 	if site >= 0 && int(site) < c.sites {
 		return true
@@ -117,6 +126,26 @@ func (c *core) record(site int32, miss bool) {
 		c.mispredicts++
 		c.siteMiss[site]++
 	}
+}
+
+// tally books one admitted outcome in a block kernel's hoisted
+// per-site counters, whose bounds the caller has checked, and returns
+// it as a 0/1 mispredict count for the block's aggregate.
+func tally(exec, miss []uint64, i int, wrong bool) uint64 {
+	exec[i]++
+	var w uint64
+	if wrong {
+		w = 1
+	}
+	miss[i] += w
+	return w
+}
+
+// settle folds a block's admitted and mispredicted counts into the
+// aggregates.
+func (c *core) settle(n, m uint64) {
+	c.executed += n
+	c.mispredicts += m
 }
 
 // Name implements Predictor.
@@ -160,6 +189,22 @@ func bump(s uint8, taken bool) uint8 {
 	return s
 }
 
+// counter is the saturating 2-bit counter rule every counter-based
+// scheme applies to its selected counter: >=2 predicts taken, then
+// the counter trains toward the outcome.
+func counter(s uint8, taken bool) (next uint8, miss bool) {
+	return bump(s, taken), (s >= 2) != taken
+}
+
+// shift appends an outcome to a history register.
+func shift(h uint32, taken bool) uint32 {
+	h <<= 1
+	if taken {
+		h |= 1
+	}
+	return h
+}
+
 // OneBit is the classic last-direction predictor: one bit per static
 // branch, predicting the direction the branch went last time. Initial
 // prediction is not-taken.
@@ -176,13 +221,39 @@ func NewOneBit(sites int) *OneBit {
 	return p
 }
 
+// oneBit is the 1-bit rule: predict the last direction, then remember
+// this one.
+func oneBit(last, taken bool) (next, miss bool) { return taken, last != taken }
+
 // Branch implements vm.Tracer.
 func (p *OneBit) Branch(site int32, taken bool, _ uint64) {
 	if !p.admit(site) {
 		return
 	}
-	p.record(site, p.last[site] != taken)
-	p.last[site] = taken
+	var miss bool
+	p.last[site], miss = oneBit(p.last[site], taken)
+	p.record(site, miss)
+}
+
+// Block implements BlockTracer.
+func (p *OneBit) Block(evs []vm.Event) {
+	last := p.last
+	exec, miss := p.siteExec[:len(last)], p.siteMiss[:len(last)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(last)) {
+			p.admit(e.Site)
+			continue
+		}
+		var wrong bool
+		last[i], wrong = oneBit(last[i], e.Taken())
+		n, m = n+1, m+tally(exec, miss, i, wrong)
+	}
+	p.settle(n, m)
 }
 
 // TwoBit is the saturating two-bit counter predictor [Smith 81]: per
@@ -209,9 +280,30 @@ func (p *TwoBit) Branch(site int32, taken bool, _ uint64) {
 	if !p.admit(site) {
 		return
 	}
-	s := p.state[site]
-	p.record(site, (s >= 2) != taken)
-	p.state[site] = bump(s, taken)
+	var miss bool
+	p.state[site], miss = counter(p.state[site], taken)
+	p.record(site, miss)
+}
+
+// Block implements BlockTracer.
+func (p *TwoBit) Block(evs []vm.Event) {
+	state := p.state
+	exec, miss := p.siteExec[:len(state)], p.siteMiss[:len(state)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(state)) {
+			p.admit(e.Site)
+			continue
+		}
+		var wrong bool
+		state[i], wrong = counter(state[i], e.Taken())
+		n, m = n+1, m+tally(exec, miss, i, wrong)
+	}
+	p.settle(n, m)
 }
 
 // Static adapts a fixed per-site direction table to the Predictor
@@ -233,6 +325,25 @@ func (p *Static) Branch(site int32, taken bool, _ uint64) {
 		return
 	}
 	p.record(site, p.dirs[site] != taken)
+}
+
+// Block implements BlockTracer.
+func (p *Static) Block(evs []vm.Event) {
+	dirs := p.dirs
+	exec, miss := p.siteExec[:len(dirs)], p.siteMiss[:len(dirs)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(dirs)) {
+			p.admit(e.Site)
+			continue
+		}
+		n, m = n+1, m+tally(exec, miss, i, dirs[i] != e.Taken())
+	}
+	p.settle(n, m)
 }
 
 // DefaultHistoryBits is the history register length the zoo's
@@ -279,19 +390,44 @@ func NewTwoLevel(sites, historyBits int) *TwoLevel {
 	return p
 }
 
+// twoLevel is the two-level rule: the site's masked history selects
+// the pattern counter that predicts and trains, then the outcome
+// shifts into the history.
+func twoLevel(hist uint32, pattern []uint8, mask uint32, taken bool) (next uint32, miss bool) {
+	h := hist & mask
+	pattern[h], miss = counter(pattern[h], taken)
+	return shift(hist, taken), miss
+}
+
 // Branch implements vm.Tracer.
 func (p *TwoLevel) Branch(site int32, taken bool, _ uint64) {
 	if !p.admit(site) {
 		return
 	}
-	h := p.hist[site] & p.mask
-	s := p.pattern[h]
-	p.record(site, (s >= 2) != taken)
-	p.pattern[h] = bump(s, taken)
-	p.hist[site] = p.hist[site] << 1
-	if taken {
-		p.hist[site] |= 1
+	var miss bool
+	p.hist[site], miss = twoLevel(p.hist[site], p.pattern, p.mask, taken)
+	p.record(site, miss)
+}
+
+// Block implements BlockTracer.
+func (p *TwoLevel) Block(evs []vm.Event) {
+	hist, pattern, mask := p.hist, p.pattern, p.mask
+	exec, miss := p.siteExec[:len(hist)], p.siteMiss[:len(hist)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(hist)) {
+			p.admit(e.Site)
+			continue
+		}
+		var wrong bool
+		hist[i], wrong = twoLevel(hist[i], pattern, mask, e.Taken())
+		n, m = n+1, m+tally(exec, miss, i, wrong)
 	}
+	p.settle(n, m)
 }
 
 // GShare is McFarling's global-history predictor: one global shift
@@ -318,20 +454,45 @@ func NewGShare(sites, historyBits int) *GShare {
 	return p
 }
 
+// gshare is the gshare rule: global history XOR site selects the
+// counter that predicts and trains, then the outcome shifts into the
+// global history.
+func gshare(ghr uint32, table []uint8, mask uint32, site int32, taken bool) (next uint32, miss bool) {
+	idx := (uint32(site) ^ ghr) & mask
+	table[idx], miss = counter(table[idx], taken)
+	return shift(ghr, taken) & mask, miss
+}
+
 // Branch implements vm.Tracer.
 func (p *GShare) Branch(site int32, taken bool, _ uint64) {
 	if !p.admit(site) {
 		return
 	}
-	idx := (uint32(site) ^ p.ghr) & p.mask
-	s := p.table[idx]
-	p.record(site, (s >= 2) != taken)
-	p.table[idx] = bump(s, taken)
-	p.ghr = p.ghr << 1
-	if taken {
-		p.ghr |= 1
+	var miss bool
+	p.ghr, miss = gshare(p.ghr, p.table, p.mask, site, taken)
+	p.record(site, miss)
+}
+
+// Block implements BlockTracer.
+func (p *GShare) Block(evs []vm.Event) {
+	ghr, table, mask := p.ghr, p.table, p.mask
+	exec, miss := p.siteExec, p.siteMiss[:len(p.siteExec)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(exec)) {
+			p.admit(e.Site)
+			continue
+		}
+		var wrong bool
+		ghr, wrong = gshare(ghr, table, mask, e.Site, e.Taken())
+		n, m = n+1, m+tally(exec, miss, i, wrong)
 	}
-	p.ghr &= p.mask
+	p.ghr = ghr
+	p.settle(n, m)
 }
 
 // BiMode is the Bi-Mode predictor [Lee, Chen and Mudge 97], the
@@ -343,12 +504,13 @@ func (p *GShare) Branch(site int32, taken bool, _ uint64) {
 // aliased by branches biased the other way.
 type BiMode struct {
 	core
-	ghr     uint32
-	choice  []uint8 // first level: per-site bank selection
-	takenT  []uint8 // taken-biased direction bank
-	ntakenT []uint8 // not-taken-biased direction bank
-	mask    uint32  // direction-bank index mask
-	chMask  uint32  // choice-table index mask
+	ghr    uint32
+	choice []uint8 // first level: per-site bank selection
+	// banks are the direction banks, not-taken-biased then
+	// taken-biased, so a choice counter c selects banks[c>>1].
+	banks  [2][]uint8
+	mask   uint32 // direction-bank index mask
+	chMask uint32 // choice-table index mask
 }
 
 // NewBiMode returns a Bi-Mode predictor for sites static branches.
@@ -363,16 +525,36 @@ func NewBiMode(sites, historyBits, choiceBits int) *BiMode {
 		chMask: 1<<cbits - 1,
 	}
 	p.choice = make([]uint8, 1<<cbits)
-	p.takenT = make([]uint8, 1<<bits)
-	p.ntakenT = make([]uint8, 1<<bits)
+	p.banks = [2][]uint8{make([]uint8, 1<<bits), make([]uint8, 1<<bits)}
 	for i := range p.choice {
 		p.choice[i] = 1 // weakly select the not-taken bank
 	}
-	for i := range p.takenT {
-		p.takenT[i] = 2 // the banks start at their bias
-		p.ntakenT[i] = 1
+	for i := range p.banks[0] {
+		p.banks[0][i] = 1 // the banks start at their bias
+		p.banks[1][i] = 2
 	}
 	return p
+}
+
+// counters returns the site's choice counter and the direction
+// counter it selects, at global history XOR site in the chosen bank.
+func (p *BiMode) counters(ghr uint32, site int32) (ctr, choice *uint8) {
+	choice = &p.choice[uint32(site)&p.chMask]
+	return &p.banks[*choice>>1][(uint32(site)^ghr)&p.mask], choice
+}
+
+// biMode is the Bi-Mode rule on the selected direction counter and
+// the choice counter that selected it. The direction counter predicts,
+// and only it trains, preserving the banks' biases. The choice counter
+// trains toward the outcome, except when the selected bank was right
+// while the choice direction disagreed with the outcome — overriding
+// a correct bank choice would un-learn a working assignment.
+func biMode(ctr, choice uint8, taken bool) (nextCtr, nextChoice uint8, miss bool) {
+	pred := ctr >= 2
+	if pred != taken || (choice >= 2) == taken {
+		choice = bump(choice, taken)
+	}
+	return bump(ctr, taken), choice, pred != taken
 }
 
 // Branch implements vm.Tracer.
@@ -380,29 +562,35 @@ func (p *BiMode) Branch(site int32, taken bool, _ uint64) {
 	if !p.admit(site) {
 		return
 	}
-	idx := (uint32(site) ^ p.ghr) & p.mask
-	ci := uint32(site) & p.chMask
-	chooseTaken := p.choice[ci] >= 2
-	bank := p.ntakenT
-	if chooseTaken {
-		bank = p.takenT
+	ctr, choice := p.counters(p.ghr, site)
+	var miss bool
+	*ctr, *choice, miss = biMode(*ctr, *choice, taken)
+	p.ghr = shift(p.ghr, taken) & p.mask
+	p.record(site, miss)
+}
+
+// Block implements BlockTracer.
+func (p *BiMode) Block(evs []vm.Event) {
+	ghr := p.ghr
+	exec, miss := p.siteExec, p.siteMiss[:len(p.siteExec)]
+	var n, m uint64
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(exec)) {
+			p.admit(e.Site)
+			continue
+		}
+		ctr, choice := p.counters(ghr, e.Site)
+		var wrong bool
+		*ctr, *choice, wrong = biMode(*ctr, *choice, e.Taken())
+		ghr = shift(ghr, e.Taken()) & p.mask
+		n, m = n+1, m+tally(exec, miss, i, wrong)
 	}
-	pred := bank[idx] >= 2
-	p.record(site, pred != taken)
-	// Only the selected bank trains, preserving the banks' biases.
-	bank[idx] = bump(bank[idx], taken)
-	// The choice table trains toward the outcome, except when the
-	// selected bank was right while the choice direction disagreed
-	// with the outcome — overriding a correct bank choice would
-	// un-learn a working assignment (the Bi-Mode update rule).
-	if !(pred == taken && chooseTaken != taken) {
-		p.choice[ci] = bump(p.choice[ci], taken)
-	}
-	p.ghr = p.ghr << 1
-	if taken {
-		p.ghr |= 1
-	}
-	p.ghr &= p.mask
+	p.ghr = ghr
+	p.settle(n, m)
 }
 
 // Zoo returns one fresh instance of every dynamic scheme at default
@@ -419,32 +607,117 @@ func Zoo(sites int) []Predictor {
 	}
 }
 
-// Multi fans one branch stream out to several predictors so a single
+// BlockTracer is a tracer that can also consume a block of events in
+// one call, in stream order. Block(evs) must leave the tracer in
+// exactly the state the same events delivered one at a time through
+// Branch and Transfer would; evs is only valid for the duration of the
+// call.
+type BlockTracer interface {
+	vm.Tracer
+	Block(evs []vm.Event)
+}
+
+// BlockSize is how many events Multi buffers before delivering them.
+const BlockSize = 4096
+
+// Multi fans one event stream out to several tracers so a single
 // (expensive) VM run measures every scheme at once.
+//
+// Multi does not forward each event as it arrives. Branch and Transfer
+// append it to a block of up to BlockSize events; when the block is
+// full, every predictor and then every Extra tracer takes the whole
+// block in turn, through Block when it is a BlockTracer and one event
+// at a time through Branch and Transfer otherwise. The consumers
+// are independent: each sees every event in stream order, and none
+// observes another, so the final state of each is exactly what it
+// reaches attached alone.
+//
+// The last, partial block is delivered by Flush. Image.Run and
+// RunInterpreter call it when a run ends (Multi is a vm.Flusher), so a
+// Multi attached through vm.Config needs nothing more. A caller that
+// drives Multi by hand must call Flush before reading any consumer.
 type Multi struct {
 	Predictors []Predictor
 	// Extra tracers (e.g. a runlength recorder) observing the same
 	// stream without being predictors.
 	Extra []vm.Tracer
+
+	block []vm.Event // buffered events not yet delivered
 }
 
 // Branch implements vm.Tracer.
 func (m *Multi) Branch(site int32, taken bool, instrs uint64) {
-	for _, p := range m.Predictors {
-		p.Branch(site, taken, instrs)
-	}
-	for _, t := range m.Extra {
-		t.Branch(site, taken, instrs)
-	}
+	m.push(vm.BranchEvent(site, taken, instrs))
 }
 
 // Transfer implements vm.Tracer.
 func (m *Multi) Transfer(kind vm.TransferKind, instrs uint64) {
+	m.push(vm.TransferEvent(kind, instrs))
+}
+
+func (m *Multi) push(e vm.Event) {
+	if len(m.block) == cap(m.block) {
+		m.deliver()
+	}
+	m.block = append(m.block, e)
+}
+
+// Flush implements vm.Flusher: it delivers the buffered events, then
+// flushes every consumer that is itself a vm.Flusher, as the VM would
+// have flushed it attached alone.
+func (m *Multi) Flush() {
+	if len(m.block) > 0 {
+		m.deliver()
+	}
 	for _, p := range m.Predictors {
-		p.Transfer(kind, instrs)
+		flush(p)
 	}
 	for _, t := range m.Extra {
-		t.Transfer(kind, instrs)
+		flush(t)
+	}
+}
+
+// deliver hands the buffered block to every consumer and empties it,
+// allocating the block on first use.
+func (m *Multi) deliver() {
+	evs := m.block
+	if cap(evs) == 0 {
+		m.block = make([]vm.Event, 0, BlockSize)
+		return
+	}
+	// Empty the buffer first, so a consumer that panics mid-block is not
+	// handed the same events again by the Flush that unwinds the run.
+	m.block = evs[:0]
+	for _, p := range m.Predictors {
+		deliverTo(p, evs)
+	}
+	for _, t := range m.Extra {
+		deliverTo(t, evs)
+	}
+}
+
+func deliverTo(t vm.Tracer, evs []vm.Event) {
+	if b, ok := t.(BlockTracer); ok {
+		b.Block(evs)
+		return
+	}
+	replay(t, evs)
+}
+
+// replay delivers evs to t one event at a time.
+func replay(t vm.Tracer, evs []vm.Event) {
+	for _, e := range evs {
+		if e.IsBranch() {
+			t.Branch(e.Site, e.Taken(), e.Instrs)
+		} else {
+			t.Transfer(e.Transfer(), e.Instrs)
+		}
+	}
+}
+
+func flush(t vm.Tracer) {
+	if f, ok := t.(vm.Flusher); ok {
+		f.Flush()
 	}
 }
 
@@ -452,7 +725,8 @@ func (m *Multi) Transfer(kind vm.TransferKind, instrs uint64) {
 // accumulated, then the first Extra tracer that counted out-of-range
 // sites (any Extra with an OutOfRange() uint64 method, such as the
 // runlength recorders), or nil. Callers attaching a Multi must check
-// it after the run, exactly as they would a single predictor's Err.
+// it after the run, exactly as they would a single predictor's Err;
+// callers driving it by hand must Flush first.
 func (m *Multi) Err() error {
 	for _, p := range m.Predictors {
 		if err := p.Err(); err != nil {

@@ -2,7 +2,10 @@ package dynpred
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,6 +102,10 @@ func TestMultiFansOut(t *testing.T) {
 	m := &Multi{Predictors: []Predictor{a, b}}
 	m.Branch(0, true, 1)
 	m.Transfer(vm.TransferCall, 2)
+	if a.Executed() != 0 {
+		t.Error("multi delivered before its block filled or was flushed")
+	}
+	m.Flush()
 	if a.Executed() != 1 || b.Executed() != 1 {
 		t.Error("multi did not fan out")
 	}
@@ -311,50 +318,151 @@ func TestZooAttributionConsistent(t *testing.T) {
 
 // --- Multi ≡ alone ---------------------------------------------------
 
-// TestMultiEquivalentToAlone: fanning a stream through Multi must
-// leave every predictor in exactly the state it reaches alone — Multi
-// is plumbing, not a scheme.
-func TestMultiEquivalentToAlone(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		sites := rng.Intn(6) + 1
-		// Two identically constructed fleets.
-		together := Zoo(sites)
-		alone := Zoo(sites)
-		var tracers []Predictor
-		tracers = append(tracers, together...)
-		m := &Multi{Predictors: tracers}
-		n := rng.Intn(400)
-		for i := 0; i < n; i++ {
-			site := int32(rng.Intn(sites + 1)) // occasionally out of range
-			taken := rng.Intn(2) == 1
-			m.Branch(site, taken, uint64(i))
-			if rng.Intn(16) == 0 {
-				m.Transfer(vm.TransferCall, uint64(i))
-			}
-			for _, p := range alone {
-				p.Branch(site, taken, uint64(i))
-			}
+// eventLog is a tracer without a Block method: Multi must replay each
+// block to it one event at a time.
+type eventLog struct{ evs []vm.Event }
+
+func (l *eventLog) Branch(site int32, taken bool, instrs uint64) {
+	l.evs = append(l.evs, vm.BranchEvent(site, taken, instrs))
+}
+
+func (l *eventLog) Transfer(kind vm.TransferKind, instrs uint64) {
+	l.evs = append(l.evs, vm.TransferEvent(kind, instrs))
+}
+
+// fleet is one of everything Multi delivers to: every scheme, both
+// runlength recorders, a tracer that only has Branch/Transfer, and a
+// predictor that a nested Multi buffers again (it sees its last events
+// only if the outer Multi's Flush reaches it).
+type fleet struct {
+	preds  []Predictor
+	sites  *runlength.SiteRecorder
+	runs   *runlength.Recorder
+	log    *eventLog
+	nested *TwoBit
+}
+
+func newFleet(sites int, rng *rand.Rand) fleet {
+	dirs := make([]bool, sites)
+	pr := &predict.Prediction{Dir: make([]predict.Direction, sites)}
+	for i := range dirs {
+		dirs[i] = rng.Intn(2) == 1
+		if dirs[i] {
+			pr.Dir[i] = predict.Taken
 		}
-		for i := range together {
-			a, b := together[i], alone[i]
-			if a.Executed() != b.Executed() || a.Mispredicts() != b.Mispredicts() {
-				return false
-			}
-			am, bm := a.SiteMispredicts(), b.SiteMispredicts()
-			for j := range am {
-				if am[j] != bm[j] {
-					return false
-				}
-			}
-			if (a.Err() == nil) != (b.Err() == nil) {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
+	return fleet{
+		preds:  append(Zoo(sites), NewStatic("s", dirs)),
+		sites:  runlength.NewSites(sites),
+		runs:   runlength.New(pr),
+		log:    &eventLog{},
+		nested: NewTwoBit(sites),
+	}
+}
+
+func (f fleet) tracers() []vm.Tracer {
+	ts := []vm.Tracer{f.sites, f.runs, f.log, f.nested}
+	for _, p := range f.preds {
+		ts = append(ts, p)
+	}
+	return ts
+}
+
+// genStream mixes in-range and out-of-range branches with every kind
+// of transfer, at nondecreasing instruction stamps.
+func genStream(rng *rand.Rand, sites, n int) []vm.Event {
+	evs := make([]vm.Event, n)
+	var instrs uint64
+	for i := range evs {
+		instrs += uint64(rng.Intn(40))
+		switch r := rng.Intn(16); {
+		case r < 5:
+			evs[i] = vm.TransferEvent(vm.TransferKind(rng.Intn(5)), instrs)
+		case r == 5: // past either end of the site tables
+			site := int32(sites + rng.Intn(3))
+			if rng.Intn(2) == 0 {
+				site = -1 - int32(rng.Intn(3))
+			}
+			evs[i] = vm.BranchEvent(site, rng.Intn(2) == 1, instrs)
+		default:
+			evs[i] = vm.BranchEvent(int32(rng.Intn(sites)), rng.Intn(2) == 1, instrs)
+		}
+	}
+	return evs
+}
+
+// TestMultiEquivalentToAlone: fanning a stream through Multi, block by
+// block, must leave every consumer in exactly the state it reaches
+// when fed the same events one at a time alone — Multi is plumbing,
+// not a scheme. The lengths straddle the block boundary, and stray
+// Flush calls mid-stream must change nothing either.
+func TestMultiEquivalentToAlone(t *testing.T) {
+	lengths := []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize + 17}
+	for seed := int64(0); seed < 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := lengths[int(seed)%len(lengths)]
+		if seed >= int64(2*len(lengths)) {
+			n = rng.Intn(5 * BlockSize)
+		}
+		sites := rng.Intn(6) + 1
+		evs := genStream(rng, sites, n)
+		flushAt := -1
+		if seed%3 == 2 && n > 0 {
+			flushAt = rng.Intn(n)
+		}
+
+		fleetRNG := rng.Int63()
+		together := newFleet(sites, rand.New(rand.NewSource(fleetRNG)))
+		alone := newFleet(sites, rand.New(rand.NewSource(fleetRNG)))
+		nested := &Multi{Predictors: []Predictor{together.nested}}
+		m := &Multi{Predictors: together.preds, Extra: []vm.Tracer{together.sites, together.runs, together.log, nested}}
+		for i, e := range evs {
+			if e.IsBranch() {
+				m.Branch(e.Site, e.Taken(), e.Instrs)
+			} else {
+				m.Transfer(e.Transfer(), e.Instrs)
+			}
+			if i == flushAt {
+				m.Flush()
+			}
+		}
+		m.Flush()
+		for _, tr := range alone.tracers() {
+			replay(tr, evs)
+		}
+
+		label := fmt.Sprintf("seed %d, %d events", seed, n)
+		for i, a := range together.preds {
+			b := alone.preds[i]
+			if a.Executed() != b.Executed() || a.Mispredicts() != b.Mispredicts() ||
+				!slices.Equal(a.SiteExecuted(), b.SiteExecuted()) ||
+				!slices.Equal(a.SiteMispredicts(), b.SiteMispredicts()) {
+				t.Fatalf("%s: %s: multi %d/%d, alone %d/%d", label, a.Name(),
+					a.Mispredicts(), a.Executed(), b.Mispredicts(), b.Executed())
+			}
+			if !reflect.DeepEqual(a.Err(), b.Err()) {
+				t.Fatalf("%s: %s: Err multi %v, alone %v", label, a.Name(), a.Err(), b.Err())
+			}
+		}
+		if !reflect.DeepEqual(together.sites.Stats(), alone.sites.Stats()) ||
+			together.sites.OutOfRange() != alone.sites.OutOfRange() {
+			t.Fatalf("%s: SiteRecorder differs", label)
+		}
+		if !slices.Equal(together.runs.Runs(), alone.runs.Runs()) ||
+			together.runs.OutOfRange() != alone.runs.OutOfRange() {
+			t.Fatalf("%s: Recorder runs differ: multi %d runs, alone %d", label,
+				len(together.runs.Runs()), len(alone.runs.Runs()))
+		}
+		if a, b := together.nested, alone.nested; a.Executed() != b.Executed() || a.Mispredicts() != b.Mispredicts() {
+			t.Fatalf("%s: nested Multi's predictor %d/%d, alone %d/%d", label,
+				a.Mispredicts(), a.Executed(), b.Mispredicts(), b.Executed())
+		}
+		if !slices.Equal(together.log.evs, evs) {
+			t.Fatalf("%s: plain tracer saw %d events, want the %d sent", label, len(together.log.evs), n)
+		}
+		if (m.Err() == nil) != (alone.preds[0].Err() == nil) {
+			t.Fatalf("%s: Multi.Err() = %v", label, m.Err())
+		}
 	}
 }
 
@@ -401,6 +509,7 @@ func TestStaleSiteCountDoesNotPanic(t *testing.T) {
 	// Multi surfaces the first predictor's contract violation.
 	m := &Multi{Predictors: Zoo(1)}
 	m.Branch(3, true, 0)
+	m.Flush()
 	if m.Err() == nil {
 		t.Error("Multi.Err() = nil after fanning out an oob event")
 	}
@@ -417,10 +526,12 @@ func TestMultiErrReportsUndersizedExtra(t *testing.T) {
 	} {
 		m := &Multi{Predictors: Zoo(4), Extra: []vm.Tracer{rec}}
 		m.Branch(0, true, 1)
+		m.Flush()
 		if err := m.Err(); err != nil {
 			t.Fatalf("%T: Err() = %v on an in-range stream", rec, err)
 		}
 		m.Branch(3, false, 2) // in range for the zoo, beyond the recorder
+		m.Flush()
 		err := m.Err()
 		if err == nil {
 			t.Fatalf("%T: Multi.Err() = nil after the recorder skipped an event", rec)

@@ -11,7 +11,7 @@ package runlength
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"branchprof/internal/predict"
@@ -58,14 +58,48 @@ func (r *Recorder) OutOfRange() uint64 { return r.oob }
 
 // Transfer implements vm.Tracer.
 func (r *Recorder) Transfer(kind vm.TransferKind, instrs uint64) {
-	if kind == vm.TransferIndirectCall || kind == vm.TransferIndirectReturn {
+	if breaks(kind) {
 		r.record(instrs)
 	}
 }
 
+// Block implements dynpred.BlockTracer with the same rules as Branch and
+// Transfer, keeping the run state in locals for the whole block.
+func (r *Recorder) Block(evs []vm.Event) {
+	dirs, runs, last := r.dirs, r.runs, r.lastBreak
+	for _, e := range evs {
+		if !e.IsBranch() {
+			if breaks(e.Transfer()) {
+				runs, last = closeRun(runs, last, e.Instrs)
+			}
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(dirs)) {
+			r.oob++
+			continue
+		}
+		if dirs[i] != e.Taken() {
+			runs, last = closeRun(runs, last, e.Instrs)
+		}
+	}
+	r.runs, r.lastBreak = runs, last
+}
+
+// breaks reports whether a non-branch transfer is a break in control:
+// indirect calls and returns are unavoidable ones.
+func breaks(kind vm.TransferKind) bool {
+	return kind == vm.TransferIndirectCall || kind == vm.TransferIndirectReturn
+}
+
+// closeRun appends the run ending at a break after instrs
+// instructions, given the previous break at last.
+func closeRun(runs []uint64, last, instrs uint64) ([]uint64, uint64) {
+	return append(runs, instrs-last), instrs
+}
+
 func (r *Recorder) record(instrs uint64) {
-	r.runs = append(r.runs, instrs-r.lastBreak)
-	r.lastBreak = instrs
+	r.runs, r.lastBreak = closeRun(r.runs, r.lastBreak, instrs)
 }
 
 // Finish records the tail run — the instructions between the final
@@ -103,8 +137,8 @@ func (r *Recorder) Summarize() Stats {
 	if n == 0 {
 		return Stats{}
 	}
-	sorted := append([]uint64(nil), r.runs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(r.runs)
+	slices.Sort(sorted)
 	var sum, sumsq float64
 	for _, v := range sorted {
 		f := float64(v)

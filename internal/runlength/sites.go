@@ -14,57 +14,70 @@ import (
 // a branch with near-0.5 taken rate, high outcome entropy and short
 // same-outcome runs is structurally hard for any per-site scheme.
 type SiteRecorder struct {
-	taken    []uint64
-	total    []uint64
-	runDir   []bool   // current same-outcome run direction
-	runLen   []uint64 // current same-outcome run length
-	runCount []uint64 // completed + open runs
-	maxRun   []uint64
-	oob      uint64 // branch events with out-of-range site ids (skipped)
+	sites []siteState
+	oob   uint64 // branch events with out-of-range site ids (skipped)
+}
+
+// siteState is one static branch's running statistics.
+type siteState struct {
+	taken, total uint64
+	runLen       uint64 // current same-outcome run length
+	runCount     uint64 // completed + open runs
+	maxRun       uint64
+	runDir       bool // current same-outcome run direction
+}
+
+// observe books one execution of the branch.
+func (st *siteState) observe(taken bool) {
+	st.total++
+	if taken {
+		st.taken++
+	}
+	if st.runLen == 0 || st.runDir != taken {
+		// First execution, or a direction flip: a new run opens.
+		st.runDir = taken
+		st.runLen = 1
+		st.runCount++
+	} else {
+		st.runLen++
+	}
+	st.maxRun = max(st.maxRun, st.runLen)
 }
 
 // NewSites returns a per-branch recorder for a program with sites
 // static branches.
 func NewSites(sites int) *SiteRecorder {
-	if sites < 0 {
-		sites = 0
-	}
-	return &SiteRecorder{
-		taken:    make([]uint64, sites),
-		total:    make([]uint64, sites),
-		runDir:   make([]bool, sites),
-		runLen:   make([]uint64, sites),
-		runCount: make([]uint64, sites),
-		maxRun:   make([]uint64, sites),
-	}
+	return &SiteRecorder{sites: make([]siteState, max(sites, 0))}
 }
 
 // Branch implements vm.Tracer. Out-of-range sites are counted on
 // OutOfRange and otherwise ignored, matching the dynpred contract.
 func (s *SiteRecorder) Branch(site int32, taken bool, _ uint64) {
-	if site < 0 || int(site) >= len(s.total) {
+	if site < 0 || int(site) >= len(s.sites) {
 		s.oob++
 		return
 	}
-	s.total[site]++
-	if taken {
-		s.taken[site]++
-	}
-	if s.runLen[site] == 0 || s.runDir[site] != taken {
-		// First execution, or a direction flip: a new run opens.
-		s.runDir[site] = taken
-		s.runLen[site] = 1
-		s.runCount[site]++
-	} else {
-		s.runLen[site]++
-	}
-	if s.runLen[site] > s.maxRun[site] {
-		s.maxRun[site] = s.runLen[site]
-	}
+	s.sites[site].observe(taken)
 }
 
 // Transfer implements vm.Tracer (ignored).
 func (s *SiteRecorder) Transfer(vm.TransferKind, uint64) {}
+
+// Block implements dynpred.BlockTracer with the same rule as Branch.
+func (s *SiteRecorder) Block(evs []vm.Event) {
+	sites := s.sites
+	for _, e := range evs {
+		if !e.IsBranch() {
+			continue
+		}
+		i := int(e.Site)
+		if uint(i) >= uint(len(sites)) {
+			s.oob++
+			continue
+		}
+		sites[i].observe(e.Taken())
+	}
+}
 
 // OutOfRange returns how many branch events carried a site id outside
 // the recorder's tables (program/recorder shape mismatch).
@@ -90,15 +103,15 @@ type SiteStats struct {
 
 // Stats summarizes every site, indexed by site id.
 func (s *SiteRecorder) Stats() []SiteStats {
-	out := make([]SiteStats, len(s.total))
-	for i := range s.total {
+	out := make([]SiteStats, len(s.sites))
+	for i, site := range s.sites {
 		st := SiteStats{
 			Site:     i,
-			Executed: s.total[i],
-			Taken:    s.taken[i],
-			Entropy:  Entropy(s.taken[i], s.total[i]),
-			Runs:     s.runCount[i],
-			MaxRun:   s.maxRun[i],
+			Executed: site.total,
+			Taken:    site.taken,
+			Entropy:  Entropy(site.taken, site.total),
+			Runs:     site.runCount,
+			MaxRun:   site.maxRun,
 		}
 		if st.Executed > 0 {
 			st.TakenRate = float64(st.Taken) / float64(st.Executed)

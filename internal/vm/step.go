@@ -16,13 +16,18 @@ import (
 )
 
 // Run executes the pre-decoded program on the given input. A nil cfg
-// uses defaults. Images are safe for concurrent Run calls.
+// uses defaults. Images are safe for concurrent Run calls. A tracer
+// that implements Flusher is flushed once as Run returns, whatever
+// the outcome.
 func (im *Image) Run(input []byte, cfg *Config) (*Result, error) {
 	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
 	c.fill()
+	if f, ok := c.Trace.(Flusher); ok {
+		defer f.Flush()
+	}
 	if im.fallback {
 		return runReference(im.prog, input, &c)
 	}
@@ -35,13 +40,17 @@ func (im *Image) Run(input []byte, cfg *Config) (*Result, error) {
 // RunInterpreter executes via the fast interpreter even when a
 // compiled body is registered for the program (benchmarks and the
 // codegen differential suite pin the backend this way). Fallback
-// images still use the reference interpreter, exactly as Run does.
+// images still use the reference interpreter, and a Flusher tracer is
+// flushed, exactly as Run does.
 func (im *Image) RunInterpreter(input []byte, cfg *Config) (*Result, error) {
 	var c Config
 	if cfg != nil {
 		c = *cfg
 	}
 	c.fill()
+	if f, ok := c.Trace.(Flusher); ok {
+		defer f.Flush()
+	}
 	if im.fallback {
 		return runReference(im.prog, input, &c)
 	}

@@ -51,12 +51,67 @@ func (k TransferKind) String() string {
 // one, so tracers can measure distances between events. Tracers are
 // only consulted at control transfers, never per instruction, so the
 // interpreter stays fast.
+//
+// A Tracer may also implement Flusher. Image.Run and RunInterpreter
+// (and so the package-level Run) call its Flush exactly once when the
+// run returns, after the last event, on every return path: normal
+// exit, trap, ErrFuel and cancellation. A tracer that buffers events
+// therefore needs no help from its caller to see the complete stream.
 type Tracer interface {
 	// Branch is called at every conditional branch execution.
 	Branch(site int32, taken bool, instrs uint64)
 	// Transfer is called at every jump, call and return.
 	Transfer(kind TransferKind, instrs uint64)
 }
+
+// Flusher is the optional end-of-run half of the Tracer contract.
+type Flusher interface {
+	Flush()
+}
+
+// EventKind says what an Event records: a conditional branch's
+// outcome, or (from EventTransfer on) a non-branch transfer.
+type EventKind uint8
+
+// Event kinds. A transfer of TransferKind k is EventTransfer+k.
+const (
+	EventNotTaken EventKind = iota
+	EventTaken
+	EventTransfer
+)
+
+// Event is one control transfer exactly as a Tracer is told about it:
+// a branch site and outcome, or a transfer kind, with the instruction
+// count at the event. Tracers that buffer the stream (internal/dynpred's
+// Multi) store and deliver it as Events.
+type Event struct {
+	Instrs uint64
+	Site   int32 // branch site id; 0 for a transfer
+	Kind   EventKind
+}
+
+// BranchEvent is the Event for Tracer.Branch(site, taken, instrs).
+func BranchEvent(site int32, taken bool, instrs uint64) Event {
+	k := EventNotTaken
+	if taken {
+		k = EventTaken
+	}
+	return Event{Instrs: instrs, Site: site, Kind: k}
+}
+
+// TransferEvent is the Event for Tracer.Transfer(kind, instrs).
+func TransferEvent(kind TransferKind, instrs uint64) Event {
+	return Event{Instrs: instrs, Kind: EventTransfer + EventKind(kind)}
+}
+
+// IsBranch reports whether e is a conditional branch.
+func (e Event) IsBranch() bool { return e.Kind < EventTransfer }
+
+// Taken reports whether e is a taken conditional branch.
+func (e Event) Taken() bool { return e.Kind == EventTaken }
+
+// Transfer returns a transfer event's kind.
+func (e Event) Transfer() TransferKind { return TransferKind(e.Kind - EventTransfer) }
 
 // SemanticsVersion identifies the observable semantics of the
 // interpreter: the exact instruction counts, branch outcomes, output
