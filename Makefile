@@ -63,9 +63,12 @@
 #                 under each fsync policy (-wal-fsync record/batch/
 #                 interval), so the trajectory prices durability too
 #   make bench-smoke  one-iteration run of the interpreter and codegen
-#                 benchmarks, the predictor-zoo throughput benchmark and
-#                 the static-vs-dynamic study (one shared traced replay),
-#                 part of `make verify` so the perf harness can't rot
+#                 benchmarks, the predictor-zoo throughput benchmark,
+#                 the static-vs-dynamic study (one shared traced replay)
+#                 and the three compile-variant studies (Table 1, the
+#                 inlining ablation, the select study; each on a fresh
+#                 engine), part of `make verify` so the perf harness
+#                 can't rot
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -165,4 +168,4 @@ bench-server:
 		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-interval -o BENCH_SERVER.json
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$' -benchtime 1x .

@@ -43,13 +43,27 @@ func unreplayedSuite(b *testing.B) *exp.Suite {
 	return s
 }
 
+// freshEngine installs a new, empty package engine with the timer
+// stopped. A compile-variant study then measures every build instead
+// of reading the previous iteration's in-memory cache; the caller
+// restores the previous engine when it is done.
+func freshEngine(b *testing.B) {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	exp.SetEngine(engine.New(engine.Options{}))
+}
+
 // BenchmarkTable1DeadCode regenerates Table 1: the dynamically dead
 // code left in because dead-branch elimination must stay off to keep
 // IFPROBBER/MFPixie branch numbering in sync.
 func BenchmarkTable1DeadCode(b *testing.B) {
 	var rows []exp.DeadCodeRow
 	var err error
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
 	for i := 0; i < b.N; i++ {
+		freshEngine(b)
 		rows, err = exp.Table1()
 		if err != nil {
 			b.Fatal(err)
@@ -475,7 +489,10 @@ func BenchmarkPredictEvaluate(b *testing.B) {
 func BenchmarkInlineAblation(b *testing.B) {
 	var rows []exp.InlineRow
 	var err error
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
 	for i := 0; i < b.N; i++ {
+		freshEngine(b)
 		rows, err = exp.InlineAblation()
 		if err != nil {
 			b.Fatal(err)
@@ -494,7 +511,10 @@ func BenchmarkInlineAblation(b *testing.B) {
 func BenchmarkSelectStudy(b *testing.B) {
 	var rows []exp.SelectRow
 	var err error
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
 	for i := 0; i < b.N; i++ {
+		freshEngine(b)
 		rows, err = exp.SelectStudy()
 		if err != nil {
 			b.Fatal(err)

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -14,7 +15,7 @@ import (
 // Under -allow-partial a degraded suite still emits every artifact its
 // surviving cells support; the document then carries a "coverage" key
 // describing the missing cells and a "skipped_artifacts" list.
-func emitJSON(t *cli.Tool) error {
+func emitJSON(ctx context.Context, t *cli.Tool) error {
 	out := make(map[string]any)
 	var skipped []string
 	// put records one artifact, or — under -allow-partial — drops it
@@ -31,23 +32,23 @@ func emitJSON(t *cli.Tool) error {
 		return nil
 	}
 
-	t1, err := exp.Table1()
+	t1, err := exp.Table1Ctx(ctx)
 	if err := put("table1_dead_code", t1, err); err != nil {
 		return err
 	}
 	out["table2_inventory"] = exp.Table2()
 
-	inl, err := exp.InlineAblation()
+	inl, err := exp.InlineAblationCtx(ctx)
 	if err := put("ext_inline_ablation", inl, err); err != nil {
 		return err
 	}
 
-	sel, err := exp.SelectStudy()
+	sel, err := exp.SelectStudyCtx(ctx)
 	if err := put("ext_select_study", sel, err); err != nil {
 		return err
 	}
 
-	s, err := exp.CollectCtx(t.Context(), t.Engine(), exp.CollectOptions{AllowPartial: t.AllowPartial()})
+	s, err := exp.CollectCtx(ctx, t.Engine(), exp.CollectOptions{AllowPartial: t.AllowPartial()})
 	if err != nil {
 		return err
 	}

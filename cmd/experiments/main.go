@@ -50,9 +50,12 @@ func main() {
 	)
 	flag.Parse()
 	exp.SetEngine(t.Engine())
+	// The context (and with it -timeout, the first-SIGINT cancel and the
+	// root trace span) covers every artifact, not just the collection.
+	ctx := t.Context()
 
 	if *jsonOut {
-		if err := emitJSON(t); err != nil {
+		if err := emitJSON(ctx, t); err != nil {
 			t.Fatal(err)
 		}
 		t.Finish()
@@ -84,15 +87,15 @@ func main() {
 		fmt.Println(exp.RenderTable2(exp.Table2()))
 	}
 	if all || *table1 {
-		rows, err := exp.Table1()
+		rows, err := exp.Table1Ctx(ctx)
 		emit(err, func() string { return exp.RenderTable1(rows) })
 	}
 	if all || *inline {
-		rows, err := exp.InlineAblation()
+		rows, err := exp.InlineAblationCtx(ctx)
 		emit(err, func() string { return exp.RenderInlineAblation(rows) })
 	}
 	if all || *selects {
-		rows, err := exp.SelectStudy()
+		rows, err := exp.SelectStudyCtx(ctx)
 		emit(err, func() string { return exp.RenderSelectStudy(rows) })
 	}
 
@@ -103,7 +106,7 @@ func main() {
 		t.Finish()
 		return
 	}
-	s, err := exp.CollectCtx(t.Context(), t.Engine(), exp.CollectOptions{AllowPartial: t.AllowPartial()})
+	s, err := exp.CollectCtx(ctx, t.Engine(), exp.CollectOptions{AllowPartial: t.AllowPartial()})
 	if err != nil {
 		fail(err)
 	}

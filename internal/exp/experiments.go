@@ -2,11 +2,10 @@ package exp
 
 import (
 	"bytes"
-	"fmt"
+	"context"
 	"math"
 
 	"branchprof/internal/breaks"
-	"branchprof/internal/engine"
 	"branchprof/internal/ifprob"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
@@ -63,32 +62,29 @@ type DeadCodeRow struct {
 // engine, so repeated table generations — and the plain half, which
 // the suite collection also needs — are served from cache.
 func Table1() ([]DeadCodeRow, error) {
-	eng := Engine()
-	var rows []DeadCodeRow
-	for _, w := range workloads.All() {
-		ds := w.Datasets[0]
-		input := ds.Gen()
-		plain, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: ds.Name, Input: input,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: table1 measuring %s: %w", w.Name, err)
-		}
-		dce, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: ds.Name, Input: input,
-			Options: mfc.Options{DeadBranchElim: true},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: table1 measuring %s (DCE): %w", w.Name, err)
-		}
+	return Table1Ctx(context.Background())
+}
+
+// Table1Ctx is Table1 honouring ctx: its measurements run concurrently
+// on the engine pool and unwind promptly once ctx is cancelled.
+func Table1Ctx(ctx context.Context) ([]DeadCodeRow, error) {
+	pairs, err := measureVariants(ctx, variant{
+		study: "table1", tag: "DCE", options: mfc.Options{DeadBranchElim: true},
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]DeadCodeRow, 0, len(pairs))
+	for _, p := range pairs {
+		plain, dce := p.plain.Res, p.variant.Res
 		dead := 0.0
-		if plain.Res.Instrs > 0 && dce.Res.Instrs < plain.Res.Instrs {
-			dead = 1 - float64(dce.Res.Instrs)/float64(plain.Res.Instrs)
+		if plain.Instrs > 0 && dce.Instrs < plain.Instrs {
+			dead = 1 - float64(dce.Instrs)/float64(plain.Instrs)
 		}
 		rows = append(rows, DeadCodeRow{
-			Program: w.Name, Dataset: ds.Name,
-			Plain: plain.Res.Instrs, DCE: dce.Res.Instrs, DeadPct: dead,
-			OutputsEqual: bytes.Equal(plain.Res.Output, dce.Res.Output) && plain.Res.ExitCode == dce.Res.ExitCode,
+			Program: p.w.Name, Dataset: p.w.Datasets[0].Name,
+			Plain: plain.Instrs, DCE: dce.Instrs, DeadPct: dead,
+			OutputsEqual: bytes.Equal(plain.Output, dce.Output) && plain.ExitCode == dce.ExitCode,
 		})
 	}
 	return rows, nil

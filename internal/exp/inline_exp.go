@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,7 +9,6 @@ import (
 	"branchprof/internal/engine"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
-	"branchprof/internal/workloads"
 )
 
 // InlineRow is the inlining ablation for one run: instructions per
@@ -39,43 +39,46 @@ func (r InlineRow) Speedup() float64 {
 // InlineAblation compiles every workload with and without the
 // inliner and measures the first dataset.
 func InlineAblation() ([]InlineRow, error) {
-	var rows []InlineRow
-	eng := Engine()
+	return InlineAblationCtx(context.Background())
+}
+
+// InlineAblationCtx is InlineAblation honouring ctx: its measurements
+// run concurrently on the engine pool and unwind promptly once ctx is
+// cancelled.
+func InlineAblationCtx(ctx context.Context) ([]InlineRow, error) {
+	pairs, err := measureVariants(ctx, variant{
+		study: "inline ablation", options: mfc.Options{InlineCalls: true},
+	})
+	if err != nil {
+		return nil, err
+	}
 	pol := breaks.Policy{PredictBranches: true, IncludeDirectCalls: true}
-	measure := func(w *workloads.Workload, opts mfc.Options, input []byte) (float64, uint64, uint64, error) {
-		out, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Options: opts,
-			Dataset: w.Datasets[0].Name, Input: input,
-		})
-		if err != nil {
-			return 0, 0, 0, fmt.Errorf("exp: inline ablation measuring %s: %w", w.Name, err)
-		}
+	selfIPB := func(out *engine.Outcome) (float64, error) {
 		pred, err := predict.FromProfile(out.Prof, out.Prog.Sites, predict.LoopHeuristic)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
 		ev, err := predict.Evaluate(pred, out.Prof)
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, err
 		}
-		bd := breaks.Count(out.Res, ev.Mispredicts, pol)
-		return bd.InstrsPerBreak(), out.Res.DirectCalls, out.Res.Instrs, nil
+		return breaks.Count(out.Res, ev.Mispredicts, pol).InstrsPerBreak(), nil
 	}
-	for _, w := range workloads.All() {
-		input := w.Datasets[0].Gen()
-		plainIPB, plainCalls, plainInstrs, err := measure(w, mfc.Options{}, input)
+	rows := make([]InlineRow, 0, len(pairs))
+	for _, p := range pairs {
+		plainIPB, err := selfIPB(p.plain)
 		if err != nil {
 			return nil, err
 		}
-		inlIPB, inlCalls, inlInstrs, err := measure(w, mfc.Options{InlineCalls: true}, input)
+		inlIPB, err := selfIPB(p.variant)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, InlineRow{
-			Program: w.Name, Dataset: w.Datasets[0].Name,
+			Program: p.w.Name, Dataset: p.w.Datasets[0].Name,
 			PlainIPB: plainIPB, InlinedIPB: inlIPB,
-			PlainCalls: plainCalls, InlinedCalls: inlCalls,
-			PlainInstrs: plainInstrs, InlinedInstrs: inlInstrs,
+			PlainCalls: p.plain.Res.DirectCalls, InlinedCalls: p.variant.Res.DirectCalls,
+			PlainInstrs: p.plain.Res.Instrs, InlinedInstrs: p.variant.Res.Instrs,
 		})
 	}
 	return rows, nil

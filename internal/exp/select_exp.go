@@ -1,14 +1,13 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"branchprof/internal/engine"
 	"branchprof/internal/isa"
 	"branchprof/internal/mfc"
 	"branchprof/internal/vm"
-	"branchprof/internal/workloads"
 )
 
 // SelectRow quantifies footnote 2 of the paper: when the compiler
@@ -28,24 +27,23 @@ type SelectRow struct {
 // SelectStudy compiles each workload with if-conversion and measures
 // its first dataset.
 func SelectStudy() ([]SelectRow, error) {
-	var rows []SelectRow
-	eng := Engine()
-	for _, w := range workloads.All() {
-		input := w.Datasets[0].Gen()
-		plain, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: w.Datasets[0].Name, Input: input,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: select study measuring %s: %w", w.Name, err)
-		}
-		sel, err := eng.Execute(engine.Spec{
-			Name: w.Name, Source: w.Source, Dataset: w.Datasets[0].Name, Input: input,
-			Options: mfc.Options{UseSelects: true},
-			Config:  vm.Config{PerPC: true},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exp: select study measuring %s (selects): %w", w.Name, err)
-		}
+	return SelectStudyCtx(context.Background())
+}
+
+// SelectStudyCtx is SelectStudy honouring ctx: its measurements run
+// concurrently on the engine pool and unwind promptly once ctx is
+// cancelled.
+func SelectStudyCtx(ctx context.Context) ([]SelectRow, error) {
+	pairs, err := measureVariants(ctx, variant{
+		study: "select study", tag: "selects",
+		options: mfc.Options{UseSelects: true}, config: vm.Config{PerPC: true},
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]SelectRow, 0, len(pairs))
+	for _, p := range pairs {
+		plain, sel := p.plain, p.variant
 		var selects uint64
 		for fi := range sel.Prog.Funcs {
 			for pc, in := range sel.Prog.Funcs[fi].Code {
@@ -55,7 +53,7 @@ func SelectStudy() ([]SelectRow, error) {
 			}
 		}
 		row := SelectRow{
-			Program: w.Name, Dataset: w.Datasets[0].Name,
+			Program: p.w.Name, Dataset: p.w.Datasets[0].Name,
 			SitesPlain:  len(plain.Prog.Sites),
 			SitesSelect: len(sel.Prog.Sites),
 		}
