@@ -64,7 +64,8 @@
 #                 interval), so the trajectory prices durability too
 #   make bench-smoke  one-iteration run of the interpreter and codegen
 #                 benchmarks, the predictor-zoo throughput benchmark,
-#                 the static-vs-dynamic study (one shared traced replay)
+#                 the static-vs-dynamic study (one shared traced replay,
+#                 then read back from a warm cache directory)
 #                 and the three compile-variant studies (Table 1, the
 #                 inlining ablation, the select study; each on a fresh
 #                 engine), part of `make verify` so the perf harness
@@ -168,4 +169,4 @@ bench-server:
 		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-interval -o BENCH_SERVER.json
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkStaticVsDynamicCached$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$' -benchtime 1x .

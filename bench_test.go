@@ -265,9 +265,14 @@ func BenchmarkMotivation(b *testing.B) {
 // ---- extension benchmarks ----
 
 // BenchmarkStaticVsDynamic regenerates the extension comparing static
-// profile prediction with simulated 1/2-bit hardware predictors.
+// profile prediction with simulated 1/2-bit hardware predictors. It
+// times the traced replay itself: the package engine has no cache
+// directory, so no replay is served from disk.
 func BenchmarkStaticVsDynamic(b *testing.B) {
 	sharedSuite(b)
+	if exp.Engine().Persistent() {
+		b.Fatal("package engine has a cache directory; replays would be read, not traced")
+	}
 	b.ResetTimer()
 	var rows []exp.DynRow
 	var err error
@@ -285,6 +290,43 @@ func BenchmarkStaticVsDynamic(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(wins)/float64(len(rows)), "static-wins-frac")
+}
+
+// BenchmarkStaticVsDynamicCached regenerates the same extension on the
+// cached path a repeat run takes: every iteration reads the traced
+// replays back from a cache directory filled before the timer starts,
+// through a fresh engine and suite (the timer is stopped while they
+// are built), and traces nothing.
+func BenchmarkStaticVsDynamicCached(b *testing.B) {
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
+	dir := b.TempDir()
+	cachedSuite := func() (*engine.Engine, *exp.Suite) {
+		b.StopTimer()
+		defer b.StartTimer()
+		eng := engine.New(engine.Options{CacheDir: dir})
+		exp.SetEngine(eng)
+		s, err := exp.CollectWith(eng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return eng, s
+	}
+	_, s := cachedSuite()
+	if _, err := exp.StaticVsDynamic(s); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, s := cachedSuite()
+		if _, err := exp.StaticVsDynamic(s); err != nil {
+			b.Fatal(err)
+		}
+		if st := eng.Stats(); st.Runs != 0 || st.ReplayHits != uint64(len(s.Programs)) {
+			b.Fatalf("cached pass: %d runs, %d/%d replay hits; want every replay read from the cache",
+				st.Runs, st.ReplayHits, len(s.Programs))
+		}
+	}
 }
 
 // BenchmarkRunLengths regenerates the run-length distribution

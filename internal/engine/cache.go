@@ -79,6 +79,16 @@ type diskEntry struct {
 	Prof    *ifprob.Profile `json:"profile,omitempty"`
 }
 
+// derivedEntry is a persisted derived payload: bytes a caller computed
+// from measurements and encodes itself (today the traced replay
+// summaries of internal/exp). The engine checks only the envelope —
+// version and echoed key — and leaves the payload to its owner.
+type derivedEntry struct {
+	Version int    `json:"version"`
+	Key     string `json:"key"`
+	Payload []byte `json:"derived"`
+}
+
 // diskCache is the persistent content-addressed measurement store:
 // one JSON file per key under dir, written atomically (temp file +
 // rename) so a crashed writer can only ever leave a stray temp file,
@@ -94,16 +104,23 @@ func (d *diskCache) path(key string) string {
 	return filepath.Join(d.dir, key+".json")
 }
 
+// read returns the raw bytes of key's entry. ok reports that a file
+// was read; invalid reports that one existed but could not be read.
+func (d *diskCache) read(key string) (data []byte, ok, invalid bool) {
+	data, err := os.ReadFile(d.path(key))
+	if err != nil {
+		return nil, false, !errors.Is(err, fs.ErrNotExist)
+	}
+	return data, true, false
+}
+
 // load reads the entry for key. ok reports a usable entry; invalid
 // reports that a file existed but was corrupt, truncated, stale, or
 // misplaced (the caller counts it and recomputes).
 func (d *diskCache) load(key string) (res *vm.Result, prof *ifprob.Profile, ok, invalid bool) {
-	data, err := os.ReadFile(d.path(key))
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, false, false
-		}
-		return nil, nil, false, true
+	data, ok, invalid := d.read(key)
+	if !ok {
+		return nil, nil, false, invalid
 	}
 	var ent diskEntry
 	if err := json.Unmarshal(data, &ent); err != nil {
@@ -123,15 +140,44 @@ func (d *diskCache) load(key string) (res *vm.Result, prof *ifprob.Profile, ok, 
 	return ent.Res, ent.Prof, true, false
 }
 
-// store writes the entry for key atomically. Failures are reported to
-// the caller for counting but never interrupt the pipeline. A torn-
-// write fault rule truncates the payload before it reaches the file,
-// simulating a crash mid-write that still survived the rename.
+// loadDerived reads the derived entry for key and returns its payload,
+// with load's ok/invalid contract. Only the envelope is checked here;
+// the payload's owner decodes and validates the rest.
+func (d *diskCache) loadDerived(key string) (payload []byte, ok, invalid bool) {
+	data, ok, invalid := d.read(key)
+	if !ok {
+		return nil, false, invalid
+	}
+	var ent derivedEntry
+	if err := json.Unmarshal(data, &ent); err != nil {
+		return nil, false, true
+	}
+	if ent.Version != diskVersion || ent.Key != key || len(ent.Payload) == 0 {
+		return nil, false, true
+	}
+	return ent.Payload, true, false
+}
+
+// store writes the measurement entry for key.
 func (d *diskCache) store(key, label string, res *vm.Result, prof *ifprob.Profile) error {
+	return d.write(key, label, &diskEntry{Version: diskVersion, Key: key, Res: res, Prof: prof})
+}
+
+// storeDerived writes the derived entry for key.
+func (d *diskCache) storeDerived(key, label string, payload []byte) error {
+	return d.write(key, label, &derivedEntry{Version: diskVersion, Key: key, Payload: payload})
+}
+
+// write serializes ent and writes it as key's entry atomically.
+// Failures are reported to the caller for counting but never interrupt
+// the pipeline. A torn-write fault rule truncates the payload before
+// it reaches the file, simulating a crash mid-write that still
+// survived the rename.
+func (d *diskCache) write(key, label string, ent any) error {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return err
 	}
-	data, err := json.Marshal(&diskEntry{Version: diskVersion, Key: key, Res: res, Prof: prof})
+	data, err := json.Marshal(ent)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,11 @@
 // compiler options, input bytes, the VM configuration fingerprint and
 // the VM's semantics version (see docs/ENGINE.md for the derivation
 // and invalidation rules). A stale, corrupt or truncated cache entry
-// is never fatal: it is discarded, counted, and recomputed.
+// is never fatal: it is discarded, counted, and recomputed. The same
+// on-disk cache also keeps derived entries: opaque payloads a caller
+// computed from measurements, keyed and encoded by that caller
+// (LoadDerived/StoreDerived; internal/exp stores its traced replays
+// this way).
 //
 // The engine also provides the bounded worker pool used to collect
 // the experiment matrix in parallel, and per-stage observability
@@ -101,6 +105,13 @@ type Engine struct {
 	imageHits   atomic.Uint64
 	imageMisses atomic.Uint64
 
+	// Derived-entry lookups (LoadDerived), exported as the
+	// branchprof_engine_replay_{hits,misses,invalid} gauges and kept
+	// apart from the measurement cache counters.
+	replayHits    atomic.Uint64
+	replayMisses  atomic.Uint64
+	replayInvalid atomic.Uint64
+
 	mu       sync.Mutex
 	inflight map[string]*call
 }
@@ -147,6 +158,15 @@ func New(opts Options) *Engine {
 	reg.GaugeFunc("branchprof_engine_image_misses",
 		"Pre-decoded VM image cache misses (image verified, pre-decoded and bound).",
 		func() float64 { return float64(e.imageMisses.Load()) })
+	reg.GaugeFunc("branchprof_engine_replay_hits",
+		"Derived (traced replay) cache hits.",
+		func() float64 { return float64(e.replayHits.Load()) })
+	reg.GaugeFunc("branchprof_engine_replay_misses",
+		"Derived (traced replay) cache misses, invalid entries included.",
+		func() float64 { return float64(e.replayMisses.Load()) })
+	reg.GaugeFunc("branchprof_engine_replay_invalid",
+		"Corrupt, stale or misplaced derived (traced replay) entries discarded and recomputed.",
+		func() float64 { return float64(e.replayInvalid.Load()) })
 	return e
 }
 
@@ -501,37 +521,51 @@ func (e *Engine) diskLoad(key, label string, prog *isa.Program) (*vm.Result, *if
 	return res, prof, true
 }
 
-// diskLoadRetry is one cache read attempt loop: injected (transient)
+// diskLoadRetry reads key's measurement entry through readRetry.
+func (e *Engine) diskLoadRetry(key, label string) (res *vm.Result, prof *ifprob.Profile, ok, invalid bool) {
+	ok, invalid = e.readRetry(label, func() (ok, invalid bool) {
+		res, prof, ok, invalid = e.disk.load(key)
+		return ok, invalid
+	})
+	if !ok {
+		return nil, nil, false, invalid
+	}
+	return res, prof, true, false
+}
+
+// readRetry is one cache read attempt loop: injected (transient)
 // faults and read-side panics are retried up to the bound, then the
 // entry is treated as invalid; a genuinely corrupt file is never
 // retried — it will not heal.
-func (e *Engine) diskLoadRetry(key, label string) (res *vm.Result, prof *ifprob.Profile, ok, invalid bool) {
+func (e *Engine) readRetry(label string, read func() (ok, invalid bool)) (ok, invalid bool) {
 	for attempt := 0; ; attempt++ {
 		ferr := e.cacheAttempt(faults.CacheRead, label, func() error {
-			res, prof, ok, invalid = e.disk.load(key)
+			ok, invalid = read()
 			return nil
 		})
 		if ferr == nil {
-			return res, prof, ok, invalid
+			return ok, invalid
 		}
 		if attempt >= e.maxRetries {
 			e.st.retryGiveUps.Add(1)
-			return nil, nil, false, true
+			return false, true
 		}
 		e.st.retries.Add(1)
 		backoffSleep(e.backoff, attempt)
 	}
 }
 
-// diskStore persists a measurement, retrying transient write faults
+// diskStore persists a measurement through writeRetry.
+func (e *Engine) diskStore(key, label string, res *vm.Result, prof *ifprob.Profile) {
+	e.writeRetry(label, func() error { return e.disk.store(key, label, res, prof) })
+}
+
+// writeRetry runs one cache write, retrying transient write faults
 // with backoff. Exhausted retries are counted and dropped — a failed
 // cache write never interrupts the pipeline.
-func (e *Engine) diskStore(key, label string, res *vm.Result, prof *ifprob.Profile) {
+func (e *Engine) writeRetry(label string, write func() error) {
 	for attempt := 0; ; attempt++ {
-		err := e.cacheAttempt(faults.CacheWrite, label, func() error {
-			return e.disk.store(key, label, res, prof)
-		})
-		if err == nil {
+		if e.cacheAttempt(faults.CacheWrite, label, write) == nil {
 			return
 		}
 		if attempt >= e.maxRetries {
@@ -542,6 +576,59 @@ func (e *Engine) diskStore(key, label string, res *vm.Result, prof *ifprob.Profi
 		e.st.retries.Add(1)
 		backoffSleep(e.backoff, attempt)
 	}
+}
+
+// Persistent reports whether the engine has an on-disk cache
+// (Options.CacheDir was set). Without one, LoadDerived always misses
+// and StoreDerived drops the payload, so callers can skip building
+// either.
+func (e *Engine) Persistent() bool { return e.disk != nil }
+
+// LoadDerived looks up a derived entry: an opaque payload that a
+// caller computed from measurements, encoded itself and stored with
+// StoreDerived under a key it derived itself. The key must hash
+// everything the payload depends on; the engine echoes it in the
+// entry, so a misplaced file is rejected. On a readable entry whose
+// envelope checks out, LoadDerived hands the payload to decode and
+// reports a hit when decode accepts it. A corrupt, truncated, stale
+// or misplaced entry, or one decode rejects, counts as invalid and
+// reads as a miss. Reads share the measurement cache's directory,
+// cache-read fault stage and retry policy, but count in their own
+// ReplayHits/ReplayMisses/ReplayInvalid. Without a cache directory
+// LoadDerived reports false and counts nothing.
+func (e *Engine) LoadDerived(key, label string, decode func(payload []byte) error) bool {
+	if e.disk == nil {
+		return false
+	}
+	var payload []byte
+	ok, invalid := e.readRetry(label, func() (ok, invalid bool) {
+		payload, ok, invalid = e.disk.loadDerived(key)
+		return ok, invalid
+	})
+	if ok && decode(payload) != nil {
+		ok, invalid = false, true
+	}
+	if invalid {
+		e.replayInvalid.Add(1)
+	}
+	if !ok {
+		e.replayMisses.Add(1)
+		return false
+	}
+	e.replayHits.Add(1)
+	return true
+}
+
+// StoreDerived persists payload as key's derived entry, with the
+// measurement cache's atomic write, cross-process lock, cache-write
+// fault stage and retry policy; a failed write is counted in
+// DiskWriteErrs and dropped. Without a cache directory it does
+// nothing. Callers store only complete, successful results.
+func (e *Engine) StoreDerived(key, label string, payload []byte) {
+	if e.disk == nil {
+		return
+	}
+	e.writeRetry(label, func() error { return e.disk.storeDerived(key, label, payload) })
 }
 
 // cacheAttempt runs one cache I/O attempt: fault injectors fire first,

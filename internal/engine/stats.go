@@ -111,6 +111,14 @@ type Stats struct {
 	DiskInvalid   uint64
 	DiskWriteErrs uint64
 
+	// Derived-entry (traced replay) cache behaviour, counted apart
+	// from the measurement cache above: LoadDerived hits, misses
+	// (ReplayInvalid included) and entries discarded as corrupt, stale
+	// or misplaced. Failed derived writes count in DiskWriteErrs.
+	ReplayHits    uint64
+	ReplayMisses  uint64
+	ReplayInvalid uint64
+
 	// Robustness events. Panics counts stage panics recovered into
 	// structured errors; Retries counts cache I/O attempts retried after
 	// a transient fault; RetryGiveUps counts retry loops that exhausted
@@ -154,6 +162,9 @@ func (e *Engine) Stats() Stats {
 	s.Instrs = e.st.instrs.Load()
 	s.DiskInvalid = e.st.diskInvalid.Load()
 	s.DiskWriteErrs = e.st.diskWriteErrs.Load()
+	s.ReplayHits = e.replayHits.Load()
+	s.ReplayMisses = e.replayMisses.Load()
+	s.ReplayInvalid = e.replayInvalid.Load()
 	s.Panics = e.st.panics.Load()
 	s.Retries = e.st.retries.Load()
 	s.RetryGiveUps = e.st.retryGiveUps.Load()
@@ -184,6 +195,14 @@ func (s Stats) String() string {
 	}
 	if s.DiskWriteErrs > 0 {
 		fmt.Fprintf(&b, ", %d write errors", s.DiskWriteErrs)
+	}
+	// The replay line appears only when derived entries were looked
+	// up, so output without a cache directory is unchanged.
+	if s.ReplayHits+s.ReplayMisses > 0 {
+		fmt.Fprintf(&b, "\nengine: replay cache %d/%d hits", s.ReplayHits, s.ReplayHits+s.ReplayMisses)
+		if s.ReplayInvalid > 0 {
+			fmt.Fprintf(&b, ", %d invalid entries recomputed", s.ReplayInvalid)
+		}
 	}
 	// Robustness counters appear only when something actually went
 	// wrong, so healthy-run output is unchanged.

@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 
 	"branchprof/internal/dynpred"
+	"branchprof/internal/engine"
 	"branchprof/internal/predict"
 	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
@@ -47,16 +49,42 @@ func toDirs(pr *predict.Prediction) []bool {
 // tracedReplay is what the replay studies (StaticVsDynamic,
 // InstrsPerMispredict, H2PStudy, RunLengths) read from one program's
 // traced first-dataset run. It keeps the measured summaries, never
-// the raw run-length slice, so a long-lived suite pins little memory.
+// the predictors' tables or the raw run-length slice, so a long-lived
+// suite pins little memory and the same value is what the engine's
+// persistent cache stores (replaycache.go).
 type tracedReplay struct {
 	// preds in report order: self, others, 1-bit, 2-bit, two-level,
 	// gshare, bimode.
-	preds  []dynpred.Predictor
+	preds  []schemeCounts
 	instrs uint64
 	sites  []runlength.SiteStats // per-site outcome statistics
 	runs   runlength.Stats       // break-to-break runs under self
 	hist   string                // runs' log2 histogram
 }
+
+// schemeCounts is one predictor's outcome on a replay: the name it
+// reports under, its totals and its per-site counts.
+type schemeCounts struct {
+	name        string
+	executed    uint64
+	mispredicts uint64
+	siteExec    []uint64
+	siteMiss    []uint64
+}
+
+// countsOf summarizes a predictor after its run.
+func countsOf(p dynpred.Predictor) schemeCounts {
+	return schemeCounts{
+		name:        p.Name(),
+		executed:    p.Executed(),
+		mispredicts: p.Mispredicts(),
+		siteExec:    p.SiteExecuted(),
+		siteMiss:    p.SiteMispredicts(),
+	}
+}
+
+// replayHistWidth is the run-length histogram's widest log2 bucket.
+const replayHistWidth = 16
 
 // replayMemo holds a suite's traced replays, built on first use by
 // whichever replay study asks first.
@@ -74,10 +102,11 @@ type replayMemo struct {
 func (s *Suite) replays() ([]tracedReplay, error) {
 	m := &s.replay
 	m.once.Do(func() {
+		eng := Engine()
 		rows := make([]tracedReplay, len(s.Programs))
-		m.err = Engine().Parallel(len(s.Programs), func(i int) error {
+		m.err = eng.Parallel(len(s.Programs), func(i int) error {
 			var err error
-			rows[i], err = replayProgram(s.Programs[i])
+			rows[i], err = replayProgram(context.Background(), eng, s.Programs[i])
 			return err
 		})
 		if m.err == nil {
@@ -87,12 +116,14 @@ func (s *Suite) replays() ([]tracedReplay, error) {
 	return m.rows, m.err
 }
 
-// replayProgram runs p's first dataset once with everything the replay
-// studies measure attached to the identical branch stream: the self
-// and sum-of-others static tables, the dynamic zoo, a per-site outcome
-// recorder and a run-length recorder under self prediction.
-// Single-dataset programs reuse self as others.
-func replayProgram(p *ProgramRuns) (tracedReplay, error) {
+// replayProgram returns p's traced replay of its first dataset,
+// measured through eng. An engine with a persistent cache serves it
+// from there when an entry for exactly these inputs exists (see
+// replayKey), and otherwise traces the run and stores the result, so
+// a repeat run of the paper pipeline traces nothing. Without a cache
+// directory it just traces. Single-dataset programs reuse self as
+// others.
+func replayProgram(ctx context.Context, eng *engine.Engine, p *ProgramRuns) (tracedReplay, error) {
 	r := p.Runs[0]
 	self, err := selfPrediction(p, r)
 	if err != nil {
@@ -105,6 +136,33 @@ func replayProgram(p *ProgramRuns) (tracedReplay, error) {
 			return tracedReplay{}, err
 		}
 	}
+	input := p.InputFor(r)
+	if !eng.Persistent() {
+		return traceReplay(ctx, eng, p, input, self, others)
+	}
+	key := replayKey(p.Prog, input, toDirs(self), toDirs(others))
+	label := "replay:" + p.Workload.Name + "/" + r.Dataset
+	var rp tracedReplay
+	if eng.LoadDerived(key, label, func(b []byte) (err error) {
+		rp, err = decodeReplay(b, len(p.Prog.Sites))
+		return err
+	}) {
+		return rp, nil
+	}
+	if rp, err = traceReplay(ctx, eng, p, input, self, others); err != nil {
+		return tracedReplay{}, err
+	}
+	eng.StoreDerived(key, label, encodeReplay(rp))
+	return rp, nil
+}
+
+// traceReplay runs p on input once with everything the replay studies
+// measure attached to the identical branch stream: the self and
+// others static tables, the dynamic zoo, a per-site outcome recorder
+// and a run-length recorder under self prediction. It fails, and
+// returns nothing to store, when the run fails or is cancelled or any
+// tracer saw an out-of-range site.
+func traceReplay(ctx context.Context, eng *engine.Engine, p *ProgramRuns, input []byte, self, others *predict.Prediction) (tracedReplay, error) {
 	preds := []dynpred.Predictor{
 		dynpred.NewStatic("self", toDirs(self)),
 		dynpred.NewStatic("others", toDirs(others)),
@@ -113,9 +171,13 @@ func replayProgram(p *ProgramRuns) (tracedReplay, error) {
 	sites := runlength.NewSites(len(p.Prog.Sites))
 	runs := runlength.New(self)
 	multi := &dynpred.Multi{Predictors: preds, Extra: []vm.Tracer{sites, runs}}
+	if replayProbe != nil {
+		multi.Extra = append(multi.Extra, replayProbe())
+	}
 	// Traced replays observe the execution, so the engine runs them
-	// fresh (never from cache) while still counting them in stats.
-	res, err := Engine().Run(p.Prog, "", p.InputFor(r), &vm.Config{Trace: multi})
+	// fresh (never from its measurement cache) while still counting
+	// them in stats.
+	res, err := eng.RunContext(ctx, p.Prog, "", input, &vm.Config{Trace: multi})
 	if err == nil {
 		err = multi.Err()
 	}
@@ -125,23 +187,31 @@ func replayProgram(p *ProgramRuns) (tracedReplay, error) {
 	// Close the distribution with the tail run (last break → program
 	// exit); without it that stretch silently vanishes.
 	runs.Finish(res.Instrs)
-	return tracedReplay{
-		preds:  preds,
+	rp := tracedReplay{
+		preds:  make([]schemeCounts, len(preds)),
 		instrs: res.Instrs,
 		sites:  sites.Stats(),
 		runs:   runs.Summarize(),
-		hist:   runs.Histogram(16),
-	}, nil
+		hist:   runs.Histogram(replayHistWidth),
+	}
+	for i, pr := range preds {
+		rp.preds[i] = countsOf(pr)
+	}
+	return rp, nil
 }
+
+// replayProbe, when non-nil, attaches one more tracer to every traced
+// replay. Tests use it to make a replay's multi.Err() fail.
+var replayProbe func() vm.Tracer
 
 // missRate is mispredicts per executed conditional branch, 0 for a
 // branch-free run (never NaN: zero-branch programs flow through every
 // report writer).
-func missRate(pr dynpred.Predictor) float64 {
-	if pr.Executed() == 0 {
+func missRate(pr schemeCounts) float64 {
+	if pr.executed == 0 {
 		return 0
 	}
-	return float64(pr.Mispredicts()) / float64(pr.Executed())
+	return float64(pr.mispredicts) / float64(pr.executed)
 }
 
 // StaticVsDynamic compares every predictor's mispredict rate on each
@@ -207,15 +277,15 @@ type SchemeIPMRow struct {
 }
 
 // schemeIPM books one predictor's cost over a run of instrs.
-func schemeIPM(pr dynpred.Predictor, instrs uint64) SchemeIPM {
+func schemeIPM(pr schemeCounts, instrs uint64) SchemeIPM {
 	ipm := math.Inf(1)
-	if pr.Mispredicts() > 0 {
-		ipm = float64(instrs) / float64(pr.Mispredicts())
+	if pr.mispredicts > 0 {
+		ipm = float64(instrs) / float64(pr.mispredicts)
 	}
 	return SchemeIPM{
-		Scheme:      pr.Name(),
-		Executed:    pr.Executed(),
-		Mispredicts: pr.Mispredicts(),
+		Scheme:      pr.name,
+		Executed:    pr.executed,
+		Mispredicts: pr.mispredicts,
 		Rate:        missRate(pr),
 		IPM:         ipm,
 	}
@@ -313,7 +383,7 @@ func H2PStudy(s *Suite, n int) ([]H2PRow, error) {
 		p := s.Programs[i]
 		schemes := make([]runlength.SchemeMisses, len(rp.preds))
 		for j, pr := range rp.preds {
-			schemes[j] = runlength.SchemeMisses{Scheme: pr.Name(), Misses: pr.SiteMispredicts()}
+			schemes[j] = runlength.SchemeMisses{Scheme: pr.name, Misses: pr.siteMiss}
 		}
 		entries := runlength.RankH2P(rp.sites, rp.instrs, schemes, n)
 		row := H2PRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset, Instrs: rp.instrs}

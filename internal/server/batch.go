@@ -238,17 +238,33 @@ func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 		// as soon as the stream opens, not after its first line.
 		flusher.Flush()
 	}
+	// Results are buffered and flushed only when the handler is about
+	// to block: before each read of the request body, and after the
+	// summary. A client that sends its whole stream up front gets its
+	// results in a few large writes instead of one flush per line,
+	// while a client that waits for each result before sending its
+	// next line still receives it, because the handler flushes before
+	// waiting for that line.
 	enc := json.NewEncoder(w)
+	pending := false
 	emit := func(v any) {
 		enc.Encode(v) //nolint:errcheck // client gone is not actionable
-		if flusher != nil {
+		pending = true
+	}
+	flush := func() {
+		if pending && flusher != nil {
 			flusher.Flush()
 		}
+		pending = false
 	}
+	body := readerFunc(func(p []byte) (int, error) {
+		flush()
+		return r.Body.Read(p)
+	})
 
 	// Each line is size-capped like a single request body; the stream
 	// itself is bounded by the request deadline, not by length.
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(body)
 	maxLine := int(s.opts.MaxBodyBytes)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 
@@ -330,4 +346,11 @@ func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 	sum.Journaled = allJournaled && sum.OK > 0 && s.wal != nil
 	sum.Degraded = s.Degraded()
 	emit(sum)
+	flush()
 }
+
+// readerFunc adapts a function to io.Reader.
+type readerFunc func(p []byte) (int, error)
+
+// Read implements io.Reader.
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -161,6 +162,49 @@ func TestProfileStream(t *testing.T) {
 	lines = streamLines(t, s, "\n\n")
 	if len(lines) != 1 || lines[0]["lines"] != float64(0) || lines[0]["persisted"] != false {
 		t.Fatalf("empty stream = %v", lines)
+	}
+}
+
+// flushCounter is a response recorder that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestProfileStreamFlushesWhenBlocking: a body sent up front is
+// answered without a flush per line. The handler flushes the headers,
+// its buffered results before it next reads the body, and the summary
+// — three flushes for 32 lines read in one chunk, not one per line.
+func TestProfileStreamFlushesWhenBlocking(t *testing.T) {
+	s := newTestServer(t, Options{Concurrency: 2})
+	var body strings.Builder
+	for i := 0; i < 32; i++ {
+		entry, err := json.Marshal(profileBody("count", fmt.Sprintf("d%d", i), countSrc, "aaab"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body.Write(entry)
+		body.WriteByte('\n')
+	}
+	req := httptest.NewRequest("POST", "/v1/profile/stream", strings.NewReader(body.String()))
+	rec := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("stream = %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := strings.Count(rec.Body.String(), "\n"); got != 33 {
+		t.Fatalf("stream answered %d lines, want 32 results + summary", got)
+	}
+	if !strings.Contains(rec.Body.String(), `"ok":32`) {
+		t.Fatalf("summary does not count 32 accepted lines: %s", rec.Body.String())
+	}
+	if rec.flushes != 3 {
+		t.Fatalf("stream flushed %d times for 32 lines, want 3 (headers, before the next read, summary)", rec.flushes)
 	}
 }
 
