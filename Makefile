@@ -43,25 +43,6 @@
 #                 compiled workload bodies must leave the tree clean,
 #                 and the generated package (plus the generator) must
 #                 be vet-clean; part of `make verify`
-#   make bench    the paired interpreter/codegen comparison, then the
-#                 cold vs warm cache benchmark pair, the raw
-#                 interpreter benchmark and the predictor-zoo
-#                 simulation throughput, each appended to the
-#                 BENCH_VM.json trajectory (one entry per build;
-#                 see docs/PERF.md)
-#   make bench-codegen  the codegen speedup booking alone: BENCHPAIRS
-#                 alternating interpreter/codegen invocation pairs on
-#                 the li sievel workload, appended to BENCH_VM.json
-#                 with the interpreter lines embedded as the baseline
-#   make bench-server  cmd/loadgen drives a sharded branchprofd over
-#                 loopback — single vs batch vs streaming ingest — and
-#                 appends the result to the BENCH_SERVER.json trajectory;
-#                 a second pass runs the same workload hash-routed
-#                 across a replicated three-node cluster (-nodes 3), so
-#                 the trajectory also tracks replication's ingest cost;
-#                 further passes journal through the write-ahead log
-#                 under each fsync policy (-wal-fsync record/batch/
-#                 interval), so the trajectory prices durability too
 #   make bench-smoke  one-iteration run of the interpreter and codegen
 #                 benchmarks, the predictor-zoo throughput benchmark,
 #                 the static-vs-dynamic study (one shared traced replay,
@@ -73,11 +54,8 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-BENCHCOUNT ?= 3
-BENCHPAIRS ?= 3
-BENCHLABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)
 
-.PHONY: verify test vet race chaos obs chaos-server soak soak-cluster crash fuzz gencheck bench bench-codegen bench-server bench-smoke
+.PHONY: verify test vet race chaos obs chaos-server soak soak-cluster crash fuzz gencheck bench-smoke
 
 verify: test vet gencheck race chaos obs chaos-server soak soak-cluster crash fuzz bench-smoke
 
@@ -130,43 +108,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDBLoad -fuzztime $(FUZZTIME) ./internal/ifprob/
 	$(GO) test -run xxx -fuzz FuzzCacheDecode -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/vm/
-
-bench: bench-codegen
-	$(GO) test -run xxx -bench 'BenchmarkSuiteCollect(Cold|Warm)' -benchtime 3x .
-	$(GO) test -run xxx -bench 'BenchmarkVMInterpreter$$' -benchtime 10x -count $(BENCHCOUNT) . \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL) -o BENCH_VM.json
-	$(GO) test -run xxx -bench 'BenchmarkPredictorZoo$$' -benchtime 10x -count $(BENCHCOUNT) . \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-predzoo -o BENCH_VM.json
-
-# bench-codegen books the interpreter → codegen speedup with the
-# paired protocol the PR 5 baseline used: BENCHPAIRS alternating
-# invocation pairs (interpreter, then codegen) so thermal and
-# scheduler drift land on both sides evenly; the interpreter lines
-# become the entry's embedded baseline and speedup_x is the geomean
-# ratio. One command, reproducible: make bench-codegen.
-bench-codegen:
-	@rm -f .bench-interp.tmp .bench-codegen.tmp
-	for i in $$(seq $(BENCHPAIRS)); do \
-		$(GO) test -run '^$$' -bench 'BenchmarkVMInterpreter$$' -benchtime 10x . | tee -a .bench-interp.tmp && \
-		$(GO) test -run '^$$' -bench 'BenchmarkVMCodegen$$' -benchtime 10x . | tee -a .bench-codegen.tmp || exit 1; \
-	done
-	$(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-codegen \
-		-baseline .bench-interp.tmp -o BENCH_VM.json \
-		-note "paired $(BENCHPAIRS)x alternating interpreter/codegen, li sievel" \
-		< .bench-codegen.tmp
-	@rm -f .bench-interp.tmp .bench-codegen.tmp
-
-bench-server:
-	$(GO) run ./cmd/loadgen -rounds $(BENCHCOUNT) \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL) -o BENCH_SERVER.json
-	$(GO) run ./cmd/loadgen -rounds $(BENCHCOUNT) -nodes 3 \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-routed3 -o BENCH_SERVER.json
-	$(GO) run ./cmd/loadgen -rounds $(BENCHCOUNT) -wal-fsync record \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-record -o BENCH_SERVER.json
-	$(GO) run ./cmd/loadgen -rounds $(BENCHCOUNT) -wal-fsync batch \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-batch -o BENCH_SERVER.json
-	$(GO) run ./cmd/loadgen -rounds $(BENCHCOUNT) -wal-fsync interval \
-		| $(GO) run ./cmd/benchjson -append -label $(BENCHLABEL)-wal-interval -o BENCH_SERVER.json
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkStaticVsDynamicCached$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$' -benchtime 1x .

@@ -419,8 +419,8 @@ func BenchmarkVMInterpreter(b *testing.B) {
 }
 
 // BenchmarkVMCodegen measures the compiled-to-Go backend on the same
-// workload and dataset as BenchmarkVMInterpreter; `make bench-codegen`
-// pairs the two to book the speedup into BENCH_VM.json.
+// workload and dataset as BenchmarkVMInterpreter; comparing the two
+// gives the codegen speedup (`make bench-smoke` runs both once).
 func BenchmarkVMCodegen(b *testing.B) {
 	w, err := workloads.ByName("li")
 	if err != nil {

@@ -1,9 +1,8 @@
 // Command loadgen drives an in-process branchprofd deployment with a
 // profile-ingest workload and reports the results as Go benchmark
-// lines, so its output pipes straight into cmd/benchjson:
+// lines on stdout:
 //
-//	go run ./cmd/loadgen -rounds 3 | \
-//	    go run ./cmd/benchjson -append -label server-ingest -o BENCH_SERVER.json
+//	go run ./cmd/loadgen -rounds 3
 //
 // The same workload — n profiles per round spread over several
 // programs and datasets on a sharded store — runs through each ingest
@@ -35,7 +34,7 @@
 // With -wal-fsync POLICY every node journals ingest through a
 // write-ahead log before acknowledging (see docs/ROBUSTNESS.md
 // "Durability contract"); benchmark names gain a WALRecord /
-// WALBatch / WALInterval suffix, so the trajectory prices what each
+// WALBatch / WALInterval suffix, so the lines price what each
 // durability point costs against the journal-free baseline.
 //
 // On 429 (admission shed) the client honors the server's Retry-After

@@ -17,7 +17,6 @@ import (
 	"branchprof/internal/ifprob"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
-	"branchprof/internal/store"
 	"branchprof/internal/vm"
 )
 
@@ -175,60 +174,24 @@ func validateProfileRequest(req *profileRequest) error {
 }
 
 // handleProfile runs one program×dataset measurement and accumulates
-// its profile in the database.
+// its profile in the database: a batch of one, answered with the
+// entry's profile or its error.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	var req profileRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if err := validateProfileRequest(&req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	results, touched := s.ingest(r.Context(), []profileRequest{req})
+	journaled, persisted := s.commit(r.Context(), touched)
+	entry := results[0]
+	if entry.Status != http.StatusOK {
+		writeError(w, entry.Status, entry.Error)
 		return
 	}
-	out, err := s.eng.ExecuteContext(r.Context(), s.specFor(&req))
-	s.feedEngineDiskHealth()
-	if err != nil {
-		code, msg := classify(err)
-		writeError(w, code, msg)
-		return
-	}
-	key := dbKey(req.Program, req.Dataset)
-	prof := out.Prof.Clone()
-	prof.Program = key
-	if err := s.store.Merge(r.Context(), prof); err != nil {
-		if errors.Is(err, store.ErrConflict) {
-			// Same name, different shape: the program was previously
-			// profiled from different source or compiler options.
-			writeError(w, http.StatusConflict,
-				fmt.Sprintf("profile conflicts with accumulated data for %s/%s (source or options changed?): %v",
-					req.Program, req.Dataset, err))
-			return
-		}
-		code, msg := classify(err)
-		writeError(w, code, msg)
-		return
-	}
-	journaled := s.journaled(r.Context())
-	persisted := s.saveDB(r.Context(), key)
-	acc, err := s.store.Get(r.Context(), key)
-	if err != nil || acc == nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("reading back accumulated profile: %v", err))
-		return
-	}
-	writeJSON(w, http.StatusOK, profileResponse{
-		Program:      req.Program,
-		Dataset:      req.Dataset,
-		Sites:        acc.Sites(),
-		Executed:     acc.Executed(),
-		Taken:        acc.TakenCount(),
-		PercentTaken: acc.PercentTaken(),
-		Coverage:     acc.Coverage(),
-		Instrs:       out.Res.Instrs,
-		CacheHit:     out.CacheHit,
-		Persisted:    persisted,
-		Journaled:    journaled,
-		Degraded:     s.Degraded(),
-	})
+	entry.Profile.Persisted = persisted
+	entry.Profile.Journaled = journaled
+	entry.Profile.Degraded = s.Degraded()
+	writeJSON(w, http.StatusOK, entry.Profile)
 }
 
 // handlePredict serves a cross-dataset prediction for a program from

@@ -28,8 +28,8 @@ const (
 	// (MaxBodyBytes) usually binds first; this bounds the slice even
 	// for tiny entries.
 	maxBatchEntries = 256
-	// streamSaveEvery is how many accepted stream entries accumulate
-	// between periodic saves of the touched shards.
+	// streamSaveEvery is how many landed stream merges accumulate
+	// before the stream commits them (a save window).
 	streamSaveEvery = 32
 )
 
@@ -117,11 +117,50 @@ func (s *Server) mergeOutcome(ctx context.Context, req *profileRequest, out *eng
 	}
 }
 
-// handleProfileBatch ingests a batch of profile requests. Every entry
-// is validated up front; the valid ones execute concurrently on the
-// engine pool; each successful run merges into the store; the touched
-// shards are saved once. Entries fail independently — one hostile
-// entry costs only its own slot in Results.
+// ingest is the validate → execute → merge half every ingest route
+// shares. Each request is validated up front (a failure costs only its
+// own slot, 400); the valid ones execute concurrently on the engine
+// pool; each successful run merges into the store. It returns the
+// per-entry outcomes in request order, and the keys whose merge landed
+// — what the caller hands to commit, even when the entry then failed
+// its read-back, because the mutation is applied either way.
+func (s *Server) ingest(ctx context.Context, reqs []profileRequest) (results []batchEntry, touched []string) {
+	results = make([]batchEntry, len(reqs))
+	var specs []engine.Spec
+	var specIdx []int // spec position → entry index
+	for i := range reqs {
+		results[i].Index = i
+		if err := validateProfileRequest(&reqs[i]); err != nil {
+			results[i].Status = http.StatusBadRequest
+			results[i].Error = err.Error()
+			continue
+		}
+		specs = append(specs, s.specFor(&reqs[i]))
+		specIdx = append(specIdx, i)
+	}
+
+	outs := s.eng.ExecuteBatch(ctx, specs)
+	s.feedEngineDiskHealth()
+	for pos, res := range outs {
+		i := specIdx[pos]
+		if res.Err != nil {
+			results[i].Status, results[i].Error = classify(res.Err)
+			continue
+		}
+		key, entry := s.mergeOutcome(ctx, &reqs[i], res.Out)
+		entry.Index = i
+		results[i] = entry
+		if key != "" {
+			touched = append(touched, key)
+		}
+	}
+	return results, touched
+}
+
+// handleProfileBatch ingests a batch of profile requests through
+// ingest, then commits every touched key once. Entries fail
+// independently — one hostile entry costs only its own slot in
+// Results.
 func (s *Server) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.decodeBody(w, r, &req) {
@@ -137,45 +176,8 @@ func (s *Server) handleProfileBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results := make([]batchEntry, len(req.Entries))
-	var specs []engine.Spec
-	var specIdx []int // spec position → entry index
-	for i := range req.Entries {
-		results[i].Index = i
-		if err := validateProfileRequest(&req.Entries[i]); err != nil {
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = err.Error()
-			continue
-		}
-		specs = append(specs, s.specFor(&req.Entries[i]))
-		specIdx = append(specIdx, i)
-	}
-
-	outs := s.eng.ExecuteBatch(r.Context(), specs)
-	s.feedEngineDiskHealth()
-	var touched []string
-	for pos, res := range outs {
-		i := specIdx[pos]
-		if res.Err != nil {
-			code, msg := classify(res.Err)
-			results[i].Status = code
-			results[i].Error = msg
-			continue
-		}
-		key, entry := s.mergeOutcome(r.Context(), &req.Entries[i], res.Out)
-		entry.Index = i
-		results[i] = entry
-		if key != "" && entry.Status == http.StatusOK {
-			touched = append(touched, key)
-		}
-	}
-
-	journaled := false
-	persisted := false
-	if len(touched) > 0 {
-		journaled = s.journaled(r.Context())
-		persisted = s.saveDB(r.Context(), touched...)
-	}
+	results, touched := s.ingest(r.Context(), req.Entries)
+	journaled, persisted := s.commit(r.Context(), touched)
 	resp := batchResponse{Results: results, Persisted: persisted, Journaled: journaled, Degraded: s.Degraded()}
 	for i := range results {
 		if results[i].Status == http.StatusOK {
@@ -214,9 +216,10 @@ type streamSummary struct {
 
 // handleProfileStream ingests NDJSON: one profile request per line,
 // answered line-by-line (same shape as batch entries) with a summary
-// object last. Entries execute in arrival order; touched shards are
-// saved every streamSaveEvery accepted entries and once at the end,
-// so a crash mid-stream loses at most one save window.
+// object last. Each line runs through ingest as a batch of one, in
+// arrival order; touched keys are committed every streamSaveEvery
+// landed merges and once at the end, so a crash mid-stream loses at
+// most one save window.
 func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -268,25 +271,20 @@ func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 	maxLine := int(s.opts.MaxBodyBytes)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 
+	// Touched keys commit every streamSaveEvery landed merges and once
+	// at the end; each flag in the summary is the AND over those
+	// commit windows, false when there was none.
 	sum := streamSummary{Done: true}
 	var touched []string
-	allSaved := true
-	allJournaled := true
-	flushTouched := func() {
+	windows := 0
+	journaled, saved := true, true
+	commitWindow := func() {
 		if len(touched) == 0 {
 			return
 		}
-		// Journal commit first: the save-window boundary is also the
-		// batch-policy fsync point, so a crash between windows loses
-		// nothing the summary will claim as journaled.
-		if !s.journaled(r.Context()) {
-			allJournaled = false
-		}
-		// The final flush runs even when the client's deadline already
-		// expired — accepted profiles should still reach disk.
-		if !s.saveDB(context.WithoutCancel(r.Context()), touched...) {
-			allSaved = false
-		}
+		j, sv := s.commit(r.Context(), touched)
+		journaled, saved = journaled && j, saved && sv
+		windows++
 		touched = touched[:0]
 	}
 
@@ -296,29 +294,18 @@ func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 		if len(raw) == 0 {
 			continue
 		}
-		entry := batchEntry{Index: line}
+		var entry batchEntry
 		var req profileRequest
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
-		switch err := dec.Decode(&req); {
-		case err != nil:
-			entry.Status = http.StatusBadRequest
-			entry.Error = "malformed JSON: " + err.Error()
-		default:
-			if err := validateProfileRequest(&req); err != nil {
-				entry.Status = http.StatusBadRequest
-				entry.Error = err.Error()
-			} else if out, err := s.eng.ExecuteContext(r.Context(), s.specFor(&req)); err != nil {
-				entry.Status, entry.Error = classify(err)
-			} else {
-				var key string
-				key, entry = s.mergeOutcome(r.Context(), &req, out)
-				entry.Index = line
-				if key != "" && entry.Status == http.StatusOK {
-					touched = append(touched, key)
-				}
-			}
+		if err := dec.Decode(&req); err != nil {
+			entry = batchEntry{Status: http.StatusBadRequest, Error: "malformed JSON: " + err.Error()}
+		} else {
+			results, t := s.ingest(r.Context(), []profileRequest{req})
+			entry = results[0]
+			touched = append(touched, t...)
 		}
+		entry.Index = line
 		if entry.Status == http.StatusOK {
 			sum.OK++
 		} else {
@@ -327,23 +314,22 @@ func (s *Server) handleProfileStream(w http.ResponseWriter, r *http.Request) {
 		line++
 		emit(entry)
 		if len(touched) >= streamSaveEvery {
-			flushTouched()
+			commitWindow()
 		}
 		if r.Context().Err() != nil {
 			break // deadline or client gone: stop reading, summarize
 		}
 	}
-	s.feedEngineDiskHealth()
 	if err := sc.Err(); err != nil {
 		sum.Failed++
 		emit(batchEntry{Index: line, Status: http.StatusBadRequest,
 			Error: "reading stream: " + err.Error()})
 	}
-	flushTouched()
+	commitWindow()
 	sum.Lines = line
-	sum.Saved = allSaved && sum.OK > 0 && s.store.Stats().Persistent
+	sum.Saved = saved && windows > 0
 	sum.Persisted = sum.Saved
-	sum.Journaled = allJournaled && sum.OK > 0 && s.wal != nil
+	sum.Journaled = journaled && windows > 0
 	sum.Degraded = s.Degraded()
 	emit(sum)
 	flush()

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"branchprof/internal/faults"
 	"branchprof/internal/ifprob"
+	"branchprof/internal/store"
+	"branchprof/internal/store/memstore"
 )
 
 // The breaker state machine itself is tested in internal/circuit;
@@ -172,5 +178,55 @@ func TestEngineDiskErrorsFeedBreaker(t *testing.T) {
 	doJSON(t, s, "GET", "/healthz", nil, &h)
 	if h.CacheWriteErrors == 0 {
 		t.Fatalf("healthz hides the cache trouble: %+v", h)
+	}
+}
+
+// cancelAfterMerge is a store whose Merge cancels the request's context
+// right after delegating: a client that disconnects between the merge
+// and the save.
+type cancelAfterMerge struct {
+	store.Store
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfterMerge) Merge(ctx context.Context, p *ifprob.Profile) error {
+	err := c.Store.Merge(ctx, p)
+	c.cancel()
+	return err
+}
+
+// TestClientCancelAfterMergeStillSaves: a disconnect after the merge
+// landed is not a disk fault. The commit runs detached from the
+// request, so the single-file save still lands and the server-wide
+// breaker, which here opens on the first failure, stays closed.
+func TestClientCancelAfterMergeStillSaves(t *testing.T) {
+	dbPath := filepath.Join(t.TempDir(), "profiles.json")
+	st, _, err := memstore.Open(context.Background(), dbPath, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := newTestServer(t, Options{
+		Concurrency:      1,
+		Store:            &cancelAfterMerge{Store: st, cancel: cancel},
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour,
+	})
+	body, err := json.Marshal(profileBody("count", "gone", countSrc, "aab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest("POST", "/v1/profile", bytes.NewReader(body)).WithContext(ctx)
+	s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if s.Degraded() {
+		t.Fatal("a client disconnect between merge and save opened the breaker")
+	}
+	db, err := ifprob.Load(dbPath)
+	if err != nil {
+		t.Fatalf("loading the saved database: %v", err)
+	}
+	if db.Get("count@gone") == nil {
+		t.Fatal("the merged profile is not in the saved file")
 	}
 }

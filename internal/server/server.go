@@ -448,27 +448,28 @@ func (s *Server) Degraded() bool {
 	return s.wal != nil && s.wal.Broken()
 }
 
-// journaled drives the journal to its policy's commit point at an
-// ingest acknowledgement boundary and reports whether the request's
-// mutations are in the journal per that policy: under "record" every
-// append already synced, under "batch" this is the per-request fsync,
-// and under "interval" the append is journaled with the sync owed to
-// the background ticker. False when journaling is off or the commit
-// failed.
-func (s *Server) journaled(ctx context.Context) bool {
-	if s.wal == nil {
-		return false
+// commit is the one commit point every ingest path shares — a
+// single request, a batch, each stream save window and each sync pull
+// — for the keys whose mutations it applied: it drives the journal to
+// its fsync policy's commit point (under "record" every append already
+// synced, under "batch" this is the fsync, under "interval" the sync
+// is owed to the background ticker), then saves the touched keys
+// through saveDB. Both steps run detached from request cancellation:
+// the mutations are already applied, so a client that goes away
+// between merge and save must lose neither the fsync nor the save,
+// and must not count as a disk failure in the breaker. journaled
+// reports whether the mutations are in the journal per the policy
+// (false without a journal, or when the commit failed) and saved
+// whether they reached the driver's disk; with nothing touched both
+// are false and nothing runs.
+func (s *Server) commit(ctx context.Context, touched []string) (journaled, saved bool) {
+	if len(touched) == 0 {
+		return false, false
 	}
-	if s.wal.Broken() {
-		return false
-	}
-	if s.wal.Policy() == wal.FsyncBatch {
-		// Detached from the request context like the stream's final
-		// save: an expired client deadline must not lose the fsync for
-		// already-applied mutations.
-		return s.wal.Sync(context.WithoutCancel(ctx)) == nil
-	}
-	return true
+	ctx = context.WithoutCancel(ctx)
+	journaled = s.wal != nil && !s.wal.Broken() &&
+		(s.wal.Policy() != wal.FsyncBatch || s.wal.Sync(ctx) == nil)
+	return journaled, s.saveDB(ctx, touched...)
 }
 
 // instrument is the outermost middleware: panic-to-500 recovery plus

@@ -27,7 +27,7 @@ import (
 //
 // A background gossip loop periodically pulls from every peer: fetch
 // the peer's digest, diff it against local state, pull the components
-// the peer is ahead on, apply the winners, persist the touched keys.
+// the peer is ahead on, apply the winners, commit the touched keys.
 // Sync exchanges bypass admission control (they are cheap reads and
 // must keep working while the compute plane is saturated) but carry
 // their own guards: a per-peer circuit breaker (reusing
@@ -240,7 +240,8 @@ func (sy *syncer) syncPeer(ctx context.Context, p *syncPeer) error {
 }
 
 // pull fetches p's digest, pulls every component p is ahead on, and
-// applies the winners, persisting the touched keys. It also recomputes
+// applies the winners, committing the touched keys like an ingest
+// request (journal commit point, then save). It also recomputes
 // the hand-off backlog owed to p (components we hold that p lacks —
 // p will pull them from us when it can reach us).
 func (sy *syncer) pull(ctx context.Context, p *syncPeer) (applied int, err error) {
@@ -264,6 +265,15 @@ func (sy *syncer) pull(ctx context.Context, p *syncPeer) (applied int, err error
 
 	refs := sy.rs.Diff(dig.Digest)
 	touched := make(map[string]bool)
+	// Commit whatever was applied, also when a later chunk fails.
+	defer func() {
+		keys := make([]string, 0, len(touched))
+		for k := range touched {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		sy.s.commit(ctx, keys)
+	}()
 	for len(refs) > 0 {
 		chunk := refs
 		if len(chunk) > maxPullRefs {
@@ -284,14 +294,6 @@ func (sy *syncer) pull(ctx context.Context, p *syncPeer) (applied int, err error
 				touched[c.Key] = true
 			}
 		}
-	}
-	if len(touched) > 0 {
-		keys := make([]string, 0, len(touched))
-		for k := range touched {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sy.s.saveDB(ctx, keys...)
 	}
 	return applied, nil
 }

@@ -379,6 +379,38 @@ func TestSyncTwoNodeConvergence(t *testing.T) {
 	}
 }
 
+// TestSyncPullCommitsJournal: a sync pull that applies something ends
+// at the same commit as an ingest request. Under fsync=batch that
+// commit is the journal fsync, so the pulled records are synced and
+// saved before the round returns.
+func TestSyncPullCommitsJournal(t *testing.T) {
+	dir := t.TempDir()
+	c := newCluster(t, 2, func(i int, _ []string, o *Options) {
+		if i == 1 {
+			o.DBPath = filepath.Join(dir, "n2.d")
+			o.Shards = 2
+			o.WALDir = filepath.Join(dir, "n2.wal")
+			o.WALFsync = "batch"
+		}
+	})
+	if code := c.post(0, "POST", "/v1/profile", profileBody("count", "far", countSrc, "aab"), nil); code != http.StatusOK {
+		t.Fatalf("ingest node1 = %d", code)
+	}
+	if err := c.nodes[1].srv.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ws := c.nodes[1].srv.wal.WALStats()
+	if ws.Appends == 0 {
+		t.Fatal("the pull journaled nothing")
+	}
+	if ws.Syncs == 0 {
+		t.Error("the pull's records were not fsynced under fsync=batch")
+	}
+	if ws.Pending != 0 {
+		t.Errorf("%d pulled records still pending: the pull did not save", ws.Pending)
+	}
+}
+
 // TestSyncPeerBreakerOpensOnDeadPeer verifies an unreachable peer
 // trips its circuit breaker (visible in /healthz) instead of costing a
 // timeout every round, and that sync with the live peer keeps working.

@@ -145,19 +145,3 @@ func TestMemReuseConcurrent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestRunMemoizesImages: the package-level Run entry must reuse one
-// pre-decoded Image per program, so repeat callers get pooled-memory
-// performance without managing Images themselves.
-func TestRunMemoizesImages(t *testing.T) {
-	prog := memProbeProg(t)
-	a, b := cachedImage(prog), cachedImage(prog)
-	if a != b {
-		t.Fatal("cachedImage returned distinct Images for the same program")
-	}
-	ref, refErr := runRef(prog, []byte{1}, &Config{})
-	for i := 0; i < 3; i++ {
-		fast, fastErr := Run(prog, []byte{1}, &Config{})
-		diffCompare(t, fmt.Sprintf("run%d", i), ref, fast, refErr, fastErr)
-	}
-}

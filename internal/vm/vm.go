@@ -12,7 +12,6 @@ package vm
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"branchprof/internal/isa"
 )
@@ -271,43 +270,12 @@ type frame struct {
 	indirect bool // whether this frame was entered via OpICall
 }
 
-// imageCache memoizes pre-decoded Images for package-level Run
-// callers, keyed by program identity. Programs are immutable once
-// validated (the engine relies on this too), so an address match
-// means the cached decode is still correct — and unlike a
-// stringified-pointer key, the map entry keeps the program alive, so
-// the key can never be a recycled address of a different program.
-var (
-	imageMu    sync.Mutex
-	imageCache = map[*isa.Program]*Image{}
-)
-
-// imageCacheMax bounds how many programs Run keeps decoded. Churning
-// through more than this many live programs is the engine's use case,
-// and it memoizes Images itself.
-const imageCacheMax = 64
-
-func cachedImage(p *isa.Program) *Image {
-	imageMu.Lock()
-	defer imageMu.Unlock()
-	if im, ok := imageCache[p]; ok {
-		return im
-	}
-	if len(imageCache) >= imageCacheMax {
-		clear(imageCache)
-	}
-	im := Load(p)
-	imageCache[p] = im
-	return im
-}
-
 // Run executes the program on the given input and returns the
-// measurements. A nil cfg uses defaults. The pre-decoded form of p is
-// memoized (programs are immutable once validated), so repeated Run
-// calls on the same program pay the decode and verification cost
-// once, exactly as if the caller had used Load and Image.Run.
+// measurements. A nil cfg uses defaults. It decodes p afresh on every
+// call; callers that run a program repeatedly should Load it once and
+// call Image.Run, as the engine does through its Image LRU.
 func Run(p *isa.Program, input []byte, cfg *Config) (*Result, error) {
-	return cachedImage(p).Run(input, cfg)
+	return Load(p).Run(input, cfg)
 }
 
 func b2i(b bool) int64 {
