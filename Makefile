@@ -38,7 +38,8 @@
 #                 recovery; see docs/ROBUSTNESS.md "Durability contract"
 #   make fuzz     10s smoke of each native fuzz target (compiler,
 #                 assembler, profile DB decoder, run-cache decoder,
-#                 VM differential); longer runs: make fuzz FUZZTIME=5m
+#                 VM differential, program digest against its
+#                 per-field reference); longer runs: make fuzz FUZZTIME=5m
 #   make gencheck the generated-code freshness gate: regenerating the
 #                 compiled workload bodies must leave the tree clean,
 #                 and the generated package (plus the generator) must
@@ -49,8 +50,9 @@
 #                 then read back from a warm cache directory)
 #                 and the three compile-variant studies (Table 1, the
 #                 inlining ablation, the select study; each on a fresh
-#                 engine), part of `make verify` so the perf harness
-#                 can't rot
+#                 engine), and the compiler over all 60 builds of a
+#                 paper pass with its allocations, part of
+#                 `make verify` so the perf harness can't rot
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -108,6 +110,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDBLoad -fuzztime $(FUZZTIME) ./internal/ifprob/
 	$(GO) test -run xxx -fuzz FuzzCacheDecode -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/vm/
+	$(GO) test -run xxx -fuzz FuzzProgramDigest -fuzztime $(FUZZTIME) ./internal/isa/
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkStaticVsDynamicCached$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkStaticVsDynamicCached$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$|BenchmarkCompileAllWorkloads$$' -benchtime 1x .

@@ -173,27 +173,27 @@ func (a *assembler) data(kind, rest string) error {
 	if err != nil || addr < 0 {
 		return a.errf("bad %s address %q", kind, addrStr)
 	}
-	for _, f := range strings.Fields(vals) {
-		if kind == "idata" {
+	fields := strings.Fields(vals)
+	if kind == "idata" {
+		vs := make([]int64, len(fields))
+		for i, f := range fields {
 			v, err := strconv.ParseInt(f, 0, 64)
 			if err != nil {
 				return a.errf("bad int datum %q", f)
 			}
-			for len(a.prog.IntData) <= addr {
-				a.prog.IntData = append(a.prog.IntData, 0)
-			}
-			a.prog.IntData[addr] = v
-		} else {
+			vs[i] = v
+		}
+		a.prog.IntData = putData(a.prog.IntData, addr, vs)
+	} else {
+		vs := make([]float64, len(fields))
+		for i, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return a.errf("bad float datum %q", f)
 			}
-			for len(a.prog.FloatData) <= addr {
-				a.prog.FloatData = append(a.prog.FloatData, 0)
-			}
-			a.prog.FloatData[addr] = v
+			vs[i] = v
 		}
-		addr++
+		a.prog.FloatData = putData(a.prog.FloatData, addr, vs)
 	}
 	if len(a.prog.IntData) > a.prog.IntMem {
 		a.prog.IntMem = len(a.prog.IntData)
@@ -202,6 +202,19 @@ func (a *assembler) data(kind, rest string) error {
 		a.prog.FloatMem = len(a.prog.FloatData)
 	}
 	return nil
+}
+
+// putData copies vs into the image img from addr on, zero-extending
+// img in one step when it ends before the last datum.
+func putData[T int64 | float64](img []T, addr int, vs []T) []T {
+	if len(vs) == 0 {
+		return img
+	}
+	if n := addr + len(vs); n > len(img) {
+		img = append(img, make([]T, n-len(img))...)
+	}
+	copy(img[addr:], vs)
+	return img
 }
 
 // funcDecl parses: NAME (types) rettype

@@ -1,9 +1,11 @@
 package asm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"branchprof/internal/isa"
 	"branchprof/internal/vm"
 )
 
@@ -203,5 +205,43 @@ func main () int
 	}
 	if res.IndirectCalls != 1 {
 		t.Errorf("indirect calls = %d", res.IndirectCalls)
+	}
+}
+
+// TestFarDatum: a datum far past the image's end zero-extends it in
+// one step to exactly the old word-at-a-time padding: same length,
+// contents, memory sizes and digest (pinned from that padding loop).
+func TestFarDatum(t *testing.T) {
+	prog, err := Assemble(`
+program far
+imem 4
+idata 3: 7 -1
+idata 1000000: 42 5
+fdata 2: 1.5
+idata 2: 9
+idata 4: 8
+idata 7:
+fdata 9:
+func main () int
+    ldi r0, 0
+    ret r0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ints := make([]int64, 1000002)
+	ints[2], ints[3], ints[4], ints[1000000], ints[1000001] = 9, 7, 8, 42, 5
+	if !slices.Equal(prog.IntData, ints) {
+		t.Errorf("IntData len %d, want %d with data at 2-4 and 1000000-1000001", len(prog.IntData), len(ints))
+	}
+	if !slices.Equal(prog.FloatData, []float64{0, 0, 1.5}) {
+		t.Errorf("FloatData = %v", prog.FloatData)
+	}
+	if prog.IntMem != 1000002 || prog.FloatMem != 3 {
+		t.Errorf("IntMem, FloatMem = %d, %d; want 1000002, 3", prog.IntMem, prog.FloatMem)
+	}
+	const want = "f2bd55925364afd01c58923312fad0fbf14ca8f8249f1f2d10140dcca324634b"
+	if d := isa.ProgramDigest(prog); d != want {
+		t.Errorf("digest %s, want %s", d, want)
 	}
 }

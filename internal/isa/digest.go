@@ -3,9 +3,10 @@ package isa
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
 	"hash"
 	"math"
+	"sync"
 )
 
 // ProgramDigest returns a stable content hash covering every field of
@@ -24,65 +25,127 @@ import (
 // compiled form (they fail the lookup and fall back to the
 // interpreter), never correctness.
 func ProgramDigest(p *Program) string {
-	h := sha256.New()
-	var buf [8]byte
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	i64 := func(v int64) { u64(uint64(v)) }
-	str := func(s string) {
-		u64(uint64(len(s)))
-		h.Write([]byte(s))
-	}
+	d := digesters.Get().(*digester)
+	defer digesters.Put(d)
+	d.h.Reset()
+	d.buf = d.buf[:0]
 
-	str("mf-program-v1")
-	str(p.Source)
-	i64(int64(p.Main))
-	i64(int64(p.IntMem))
-	i64(int64(p.FloatMem))
-	i64(int64(len(p.Sites)))
+	d.str("mf-program-v1")
+	d.str(p.Source)
+	d.u64(uint64(p.Main))
+	d.u64(uint64(p.IntMem))
+	d.u64(uint64(p.FloatMem))
+	d.u64(uint64(len(p.Sites)))
 
-	u64(uint64(len(p.IntData)))
-	for _, v := range p.IntData {
-		i64(v)
-	}
-	u64(uint64(len(p.FloatData)))
-	for _, v := range p.FloatData {
-		u64(math.Float64bits(v))
-	}
+	d.u64(uint64(len(p.IntData)))
+	d.int64s(p.IntData)
+	d.u64(uint64(len(p.FloatData)))
+	d.float64s(p.FloatData)
 
-	u64(uint64(len(p.Funcs)))
+	d.u64(uint64(len(p.Funcs)))
 	for i := range p.Funcs {
-		hashFunc(h, u64, i64, str, &p.Funcs[i])
+		d.fn(&p.Funcs[i])
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	d.flush()
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(d.h.Sum(sum[:0]))
 }
 
-func hashFunc(h hash.Hash, u64 func(uint64), i64 func(int64), str func(string), f *Func) {
-	str(f.Name)
-	i64(int64(f.Kind))
-	i64(int64(f.NumParams))
-	i64(int64(f.NumIRegs))
-	i64(int64(f.NumFRegs))
-	u64(uint64(len(f.FParams)))
+// digestBufSize bounds the bytes the digest buffers between hash
+// writes. The encoding is a stream of 8-byte words, and hashing them
+// a buffer at a time keeps the digest of a large data image (li's is
+// 1.2M words) down to SHA-256's own throughput.
+const digestBufSize = 32 << 10
+
+// digester encodes a program into its hash through buf.
+type digester struct {
+	h   hash.Hash
+	buf []byte // pending encoded bytes; cap digestBufSize
+}
+
+var digesters = sync.Pool{New: func() any {
+	return &digester{h: sha256.New(), buf: make([]byte, 0, digestBufSize)}
+}}
+
+func (d *digester) flush() {
+	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
+}
+
+// reserve makes room for n more buffered bytes (n <= digestBufSize).
+func (d *digester) reserve(n int) {
+	if cap(d.buf)-len(d.buf) < n {
+		d.flush()
+	}
+}
+
+func (d *digester) u64(v uint64) {
+	d.reserve(8)
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, v)
+}
+
+func (d *digester) str(s string) {
+	d.u64(uint64(len(s)))
+	for len(s) > 0 {
+		d.reserve(1)
+		n := copy(d.buf[len(d.buf):cap(d.buf)], s)
+		d.buf = d.buf[:len(d.buf)+n]
+		s = s[n:]
+	}
+}
+
+func (d *digester) int64s(vs []int64) {
+	for len(vs) > 0 {
+		d.reserve(8)
+		n := min(len(vs), (cap(d.buf)-len(d.buf))/8)
+		b := d.buf[len(d.buf) : len(d.buf)+8*n]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		}
+		d.buf = d.buf[:len(d.buf)+8*n]
+		vs = vs[n:]
+	}
+}
+
+func (d *digester) float64s(vs []float64) {
+	for len(vs) > 0 {
+		d.reserve(8)
+		n := min(len(vs), (cap(d.buf)-len(d.buf))/8)
+		b := d.buf[len(d.buf) : len(d.buf)+8*n]
+		for i, v := range vs[:n] {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		d.buf = d.buf[:len(d.buf)+8*n]
+		vs = vs[n:]
+	}
+}
+
+func (d *digester) fn(f *Func) {
+	d.str(f.Name)
+	d.u64(uint64(f.Kind))
+	d.u64(uint64(f.NumParams))
+	d.u64(uint64(f.NumIRegs))
+	d.u64(uint64(f.NumFRegs))
+	d.u64(uint64(len(f.FParams)))
 	for _, fp := range f.FParams {
 		if fp {
-			u64(1)
+			d.u64(1)
 		} else {
-			u64(0)
+			d.u64(0)
 		}
 	}
-	u64(uint64(len(f.Code)))
+	d.u64(uint64(len(f.Code)))
 	for i := range f.Code {
 		in := &f.Code[i]
-		i64(int64(in.Op))
-		i64(int64(in.A))
-		i64(int64(in.B))
-		i64(int64(in.C))
-		i64(in.Imm)
-		u64(math.Float64bits(in.FImm))
-		i64(int64(in.Target))
-		i64(int64(in.Site))
+		d.reserve(64)
+		le := binary.LittleEndian
+		d.buf = le.AppendUint64(d.buf, uint64(in.Op))
+		d.buf = le.AppendUint64(d.buf, uint64(in.A))
+		d.buf = le.AppendUint64(d.buf, uint64(in.B))
+		d.buf = le.AppendUint64(d.buf, uint64(in.C))
+		d.buf = le.AppendUint64(d.buf, uint64(in.Imm))
+		d.buf = le.AppendUint64(d.buf, math.Float64bits(in.FImm))
+		d.buf = le.AppendUint64(d.buf, uint64(in.Target))
+		d.buf = le.AppendUint64(d.buf, uint64(in.Site))
 	}
 }

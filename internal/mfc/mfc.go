@@ -102,9 +102,14 @@ type module struct {
 
 	intMem   int64
 	floatMem int64
-	intData  []int64
-	fltData  []float64
-	strings  map[string]int64 // interned string literal → address
+	// The initial memory images are built once, in Compile, at their
+	// final length; until then only their lengths and the words
+	// written into them are recorded. li's int image is ~1.2M words
+	// with ~100 of them set.
+	intLen, fltLen int64
+	intInit        []word[int64]
+	fltInit        []word[float64]
+	strings        map[string]int64 // interned string literal → address
 
 	sites []isa.BranchSite
 }
@@ -148,8 +153,8 @@ func Compile(name, src string, opts Options) (*isa.Program, error) {
 	p.Main = mi
 	p.IntMem = int(m.intMem)
 	p.FloatMem = int(m.floatMem)
-	p.IntData = m.intData
-	p.FloatData = m.fltData
+	p.IntData = image(m.intLen, m.intInit)
+	p.FloatData = image(m.fltLen, m.fltInit)
 	p.Sites = m.sites
 	if p.IntMem == 0 {
 		p.IntMem = 1 // keep the VM's memory non-nil even for pure-register programs
@@ -246,9 +251,7 @@ func (m *module) initGlobal(d *ast.GlobalVar, g *global) error {
 			return errf(d.P, "string initializer (%d bytes + NUL) exceeds array size %d", len(d.InitStr), g.size)
 		}
 		m.growIntData(g.base + g.size)
-		for i := 0; i < len(d.InitStr); i++ {
-			m.intData[g.base+int64(i)] = int64(d.InitStr[i])
-		}
+		m.putString(g.base, d.InitStr)
 		return nil
 	}
 	if len(d.Init) == 0 {
@@ -270,25 +273,47 @@ func (m *module) initGlobal(d *ast.GlobalVar, g *global) error {
 		}
 		if d.Type == ast.Int {
 			m.growIntData(g.base + g.size)
-			m.intData[g.base+int64(i)] = cv.i
+			m.intInit = append(m.intInit, word[int64]{g.base + int64(i), cv.i})
 		} else {
 			m.growFltData(g.base + g.size)
-			m.fltData[g.base+int64(i)] = cv.f
+			m.fltInit = append(m.fltInit, word[float64]{g.base + int64(i), cv.f})
 		}
 	}
 	return nil
 }
 
-func (m *module) growIntData(n int64) {
-	for int64(len(m.intData)) < n {
-		m.intData = append(m.intData, 0)
+// word is one initialized word of a memory image.
+type word[T int64 | float64] struct {
+	addr int64
+	v    T
+}
+
+// growIntData extends the int image to at least n words.
+func (m *module) growIntData(n int64) { m.intLen = max(m.intLen, n) }
+
+// growFltData extends the float image to at least n words.
+func (m *module) growFltData(n int64) { m.fltLen = max(m.fltLen, n) }
+
+// putString writes s's bytes into the int image from base on; the
+// terminating NUL is the image's zero fill.
+func (m *module) putString(base int64, s string) {
+	for i := 0; i < len(s); i++ {
+		m.intInit = append(m.intInit, word[int64]{base + int64(i), int64(s[i])})
 	}
 }
 
-func (m *module) growFltData(n int64) {
-	for int64(len(m.fltData)) < n {
-		m.fltData = append(m.fltData, 0)
+// image materializes a memory image of n words in one allocation,
+// applying the recorded writes in order. It is nil when n is zero,
+// as it is for a program that initializes no memory.
+func image[T int64 | float64](n int64, init []word[T]) []T {
+	if n == 0 {
+		return nil
 	}
+	img := make([]T, n)
+	for _, w := range init {
+		img[w.addr] = w.v
+	}
+	return img
 }
 
 // internString places a NUL-terminated string in int memory once and
@@ -300,9 +325,7 @@ func (m *module) internString(s string) int64 {
 	base := m.intMem
 	m.intMem += int64(len(s)) + 1
 	m.growIntData(m.intMem)
-	for i := 0; i < len(s); i++ {
-		m.intData[base+int64(i)] = int64(s[i])
-	}
+	m.putString(base, s)
 	m.strings[s] = base
 	return base
 }

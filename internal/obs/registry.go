@@ -310,10 +310,25 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	// Series are added under r.mu while requests are served, so each
+	// family's series map is copied out under the lock too.
+	type famSeries struct {
+		*family
+		labels  []string
+		metrics []any
+	}
 	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
+	fams := make([]famSeries, 0, len(r.fams))
 	for _, f := range r.fams {
-		fams = append(fams, f)
+		fs := famSeries{family: f, labels: make([]string, 0, len(f.series))}
+		for l := range f.series {
+			fs.labels = append(fs.labels, l)
+		}
+		sort.Strings(fs.labels)
+		for _, l := range fs.labels {
+			fs.metrics = append(fs.metrics, f.series[l])
+		}
+		fams = append(fams, fs)
 	}
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].base < fams[j].base })
@@ -324,13 +339,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.base, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.base, f.kind)
-		labels := make([]string, 0, len(f.series))
-		for l := range f.series {
-			labels = append(labels, l)
-		}
-		sort.Strings(labels)
-		for _, l := range labels {
-			switch m := f.series[l].(type) {
+		for i, l := range f.labels {
+			switch m := f.metrics[i].(type) {
 			case *Counter:
 				fmt.Fprintf(&b, "%s %d\n", seriesName(f.base, l, ""), m.Load())
 			case *Gauge:

@@ -163,3 +163,36 @@ func TestRegistryHTTP(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 }
+
+// TestPromConcurrentRegistration: a scrape racing with the first use
+// of new labelled series (a server registers per-route counters as
+// requests arrive) must not read a family's series map unlocked.
+// Run under -race.
+func TestPromConcurrentRegistration(t *testing.T) {
+	r := NewRegistry()
+	r.Counter(`bp_req_total{route="a"}`, "Requests.").Inc()
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			r.Counter(`bp_req_total{route="r`+strings.Repeat("x", i)+`"}`, "Requests.").Inc()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			var b strings.Builder
+			if err := r.WritePrometheus(&b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	var b strings.Builder
+	r.WritePrometheus(&b)
+	if n := strings.Count(b.String(), "bp_req_total{"); n != 201 {
+		t.Errorf("%d bp_req_total series rendered, want 201", n)
+	}
+}
