@@ -1,7 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -143,4 +150,91 @@ func TestH2PTracedReport(t *testing.T) {
 	if v := s.m.h2pLastInstrs.Load(); v == 0 {
 		t.Error("branchprof_h2p_last_traced_instrs not set")
 	}
+}
+
+// variantSrc is mixSrc with one more branch: a second compilation of
+// the same program name, whose stored profiles cannot merge with (or
+// feed a prediction for) mixSrc's.
+const variantSrc = `
+func main() int {
+	var n int = 0;
+	var c int = getc();
+	while (c >= 0) {
+		if (c == 97) {
+			n = n + 1;
+		}
+		if (c == 98) {
+			n = n + 2;
+		}
+		c = getc();
+	}
+	return n;
+}
+`
+
+// TestH2PGolden pins the exact /v1/h2p response bodies, status line
+// included, for the traced POST (profile-fed, heuristic-only, capped
+// by n, fuel-exhausted, with a mismatched stored compilation filtered
+// out) and the profile-only GET (with a skipped dataset). The bodies
+// in testdata/h2p are the server's own output; any byte that moves is
+// a change to the endpoint's contract.
+func TestH2PGolden(t *testing.T) {
+	s := newTestServer(t, Options{Concurrency: 2})
+	profile := func(program, dataset, source, input string) {
+		t.Helper()
+		if code := doJSON(t, s, "POST", "/v1/profile", profileBody(program, dataset, source, input), nil); code != http.StatusOK {
+			t.Fatalf("profile %s@%s = %d", program, dataset, code)
+		}
+	}
+	traced := func(program, dataset, input string, n int, fuel uint64) any {
+		b := h2pBody(program, dataset, mixSrc, input, n)
+		if fuel > 0 {
+			b["fuel"] = fuel
+		}
+		return b
+	}
+	check := func(name, method, path string, body any) {
+		t.Helper()
+		code, got := doRaw(t, s, method, path, body)
+		got = append([]byte(fmt.Sprintf("%d\n", code)), got...)
+		file := filepath.Join("testdata", "h2p", name+".txt")
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatalf("%s: %v; the response was:\n%s", name, err, got)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %s (%s) response moved:\n got: %s\nwant: %s", method, path, name, got, want)
+		}
+	}
+
+	profile("count", "train", mixSrc, "abab")
+	check("post_trained", "POST", "/v1/h2p", traced("count", "alternating", "abababababababab", 0, 0))
+	check("post_trained_n1", "POST", "/v1/h2p", traced("count", "alternating", "abababababababab", 1, 0))
+	check("post_heuristic", "POST", "/v1/h2p", traced("nameless", "", "ab", 0, 0))
+	// A fuel-exhausted traced run is answered 500, not 422: the engine's
+	// RunContext returns the VM's error without a stage wrapper, so
+	// classify does not recognise it as the program's trap. The body
+	// pins that behaviour until classify learns the bare VM errors.
+	check("post_fuel", "POST", "/v1/h2p", traced("count", "long", strings.Repeat("ab", 64), 0, 50))
+
+	profile("count", "mostly-a", mixSrc, "aaab")
+	profile("count", "alternating", mixSrc, "abababab")
+	profile("count", "variant", variantSrc, "abba")
+	check("post_filtered", "POST", "/v1/h2p", traced("count", "mixed", "aabbab", 2, 0))
+	check("get_skipped_n2", "GET", "/v1/h2p?program=count&n=2", nil)
+}
+
+// doRaw sends body (JSON-encoded when non-nil) to path on the
+// server's handler and returns the status code and the raw reply.
+func doRaw(t *testing.T, s *Server, method, path string, body any) (int, []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if body != nil {
+		if err := json.NewEncoder(&buf).Encode(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, &buf))
+	return rec.Code, rec.Body.Bytes()
 }
