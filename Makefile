@@ -39,7 +39,8 @@
 #   make fuzz     10s smoke of each native fuzz target (compiler,
 #                 assembler, profile DB decoder, run-cache decoder,
 #                 VM differential, program digest against its
-#                 per-field reference); longer runs: make fuzz FUZZTIME=5m
+#                 per-field reference, traced-replay entry decoder);
+#                 longer runs: make fuzz FUZZTIME=5m
 #   make gencheck the generated-code freshness gate: regenerating the
 #                 compiled workload bodies must leave the tree clean,
 #                 and the generated package (plus the generator) must
@@ -111,6 +112,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCacheDecode -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run xxx -fuzz FuzzVMDifferential -fuzztime $(FUZZTIME) ./internal/vm/
 	$(GO) test -run xxx -fuzz FuzzProgramDigest -fuzztime $(FUZZTIME) ./internal/isa/
+	$(GO) test -run xxx -fuzz FuzzReplayDecode -fuzztime $(FUZZTIME) ./internal/exp/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkVM(Interpreter|Codegen)$$|BenchmarkPredictorZoo$$|BenchmarkStaticVsDynamic$$|BenchmarkStaticVsDynamicCached$$|BenchmarkTable1DeadCode$$|BenchmarkInlineAblation$$|BenchmarkSelectStudy$$|BenchmarkCompileAllWorkloads$$' -benchtime 1x .

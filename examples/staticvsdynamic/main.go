@@ -18,7 +18,6 @@ import (
 	"branchprof/internal/dynpred"
 	"branchprof/internal/engine"
 	"branchprof/internal/mfc"
-	"branchprof/internal/predict"
 	"branchprof/internal/vm"
 )
 
@@ -76,13 +75,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	dirs := make([]bool, len(selfPred.Dir))
-	for i, d := range selfPred.Dir {
-		dirs[i] = d == predict.Taken
-	}
 
 	// Second run: measure every scheme on one branch stream.
-	static := dynpred.NewStatic("static-profile", dirs)
+	static := dynpred.NewStatic("static-profile", selfPred.TakenTable())
 	oneBit := dynpred.NewOneBit(len(prog.Sites))
 	twoBit := dynpred.NewTwoBit(len(prog.Sites))
 	multi := &dynpred.Multi{Predictors: []dynpred.Predictor{static, oneBit, twoBit}}

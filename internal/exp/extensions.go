@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 
-	"branchprof/internal/dynpred"
 	"branchprof/internal/engine"
 	"branchprof/internal/predict"
 	"branchprof/internal/runlength"
@@ -36,51 +35,18 @@ type DynRow struct {
 	BiModeRate   float64
 }
 
-// toDirs converts a prediction to the direction table a Static
-// predictor consumes.
-func toDirs(pr *predict.Prediction) []bool {
-	dirs := make([]bool, len(pr.Dir))
-	for i, d := range pr.Dir {
-		dirs[i] = d == predict.Taken
-	}
-	return dirs
-}
-
 // tracedReplay is what the replay studies (StaticVsDynamic,
 // InstrsPerMispredict, H2PStudy, RunLengths) read from one program's
-// traced first-dataset run. It keeps the measured summaries, never
-// the predictors' tables or the raw run-length slice, so a long-lived
-// suite pins little memory and the same value is what the engine's
-// persistent cache stores (replaycache.go).
+// traced first-dataset run: its Replay, with preds in report order
+// (self, others, 1-bit, 2-bit, two-level, gshare, bimode), and the
+// break-to-break runs under self. It keeps summaries, never the raw
+// run-length slice, so a long-lived suite pins little memory and the
+// same value is what the engine's persistent cache stores
+// (replaycache.go).
 type tracedReplay struct {
-	// preds in report order: self, others, 1-bit, 2-bit, two-level,
-	// gshare, bimode.
-	preds  []schemeCounts
-	instrs uint64
-	sites  []runlength.SiteStats // per-site outcome statistics
-	runs   runlength.Stats       // break-to-break runs under self
-	hist   string                // runs' log2 histogram
-}
-
-// schemeCounts is one predictor's outcome on a replay: the name it
-// reports under, its totals and its per-site counts.
-type schemeCounts struct {
-	name        string
-	executed    uint64
-	mispredicts uint64
-	siteExec    []uint64
-	siteMiss    []uint64
-}
-
-// countsOf summarizes a predictor after its run.
-func countsOf(p dynpred.Predictor) schemeCounts {
-	return schemeCounts{
-		name:        p.Name(),
-		executed:    p.Executed(),
-		mispredicts: p.Mispredicts(),
-		siteExec:    p.SiteExecuted(),
-		siteMiss:    p.SiteMispredicts(),
-	}
+	Replay
+	runs runlength.Stats // break-to-break runs under self
+	hist string          // runs' log2 histogram
 }
 
 // replayHistWidth is the run-length histogram's widest log2 bucket.
@@ -140,7 +106,7 @@ func replayProgram(ctx context.Context, eng *engine.Engine, p *ProgramRuns) (tra
 	if !eng.Persistent() {
 		return traceReplay(ctx, eng, p, input, self, others)
 	}
-	key := replayKey(p.Prog, input, toDirs(self), toDirs(others))
+	key := replayKey(p.Prog, input, self.TakenTable(), others.TakenTable())
 	label := "replay:" + p.Workload.Name + "/" + r.Dataset
 	var rp tracedReplay
 	if eng.LoadDerived(key, label, func(b []byte) (err error) {
@@ -156,48 +122,25 @@ func replayProgram(ctx context.Context, eng *engine.Engine, p *ProgramRuns) (tra
 	return rp, nil
 }
 
-// traceReplay runs p on input once with everything the replay studies
-// measure attached to the identical branch stream: the self and
-// others static tables, the dynamic zoo, a per-site outcome recorder
-// and a run-length recorder under self prediction. It fails, and
-// returns nothing to store, when the run fails or is cancelled or any
-// tracer saw an out-of-range site.
+// traceReplay runs p on input through TraceReplay with the self and
+// others tables and a run-length recorder under self attached. It
+// fails, and returns nothing to store, when the run fails or is
+// cancelled or any tracer saw an out-of-range site.
 func traceReplay(ctx context.Context, eng *engine.Engine, p *ProgramRuns, input []byte, self, others *predict.Prediction) (tracedReplay, error) {
-	preds := []dynpred.Predictor{
-		dynpred.NewStatic("self", toDirs(self)),
-		dynpred.NewStatic("others", toDirs(others)),
-	}
-	preds = append(preds, dynpred.Zoo(len(p.Prog.Sites))...)
-	sites := runlength.NewSites(len(p.Prog.Sites))
 	runs := runlength.New(self)
-	multi := &dynpred.Multi{Predictors: preds, Extra: []vm.Tracer{sites, runs}}
+	extra := []vm.Tracer{runs}
 	if replayProbe != nil {
-		multi.Extra = append(multi.Extra, replayProbe())
+		extra = append(extra, replayProbe())
 	}
-	// Traced replays observe the execution, so the engine runs them
-	// fresh (never from its measurement cache) while still counting
-	// them in stats.
-	res, err := eng.RunContext(ctx, p.Prog, "", input, &vm.Config{Trace: multi})
-	if err == nil {
-		err = multi.Err()
-	}
+	statics := []StaticTable{{"self", self.TakenTable()}, {"others", others.TakenTable()}}
+	rp, err := TraceReplay(ctx, eng, p.Prog, input, 0, statics, extra...)
 	if err != nil {
 		return tracedReplay{}, fmt.Errorf("exp: traced replay of %s: %w", p.Workload.Name, err)
 	}
 	// Close the distribution with the tail run (last break → program
 	// exit); without it that stretch silently vanishes.
-	runs.Finish(res.Instrs)
-	rp := tracedReplay{
-		preds:  make([]schemeCounts, len(preds)),
-		instrs: res.Instrs,
-		sites:  sites.Stats(),
-		runs:   runs.Summarize(),
-		hist:   runs.Histogram(replayHistWidth),
-	}
-	for i, pr := range preds {
-		rp.preds[i] = countsOf(pr)
-	}
-	return rp, nil
+	runs.Finish(rp.instrs)
+	return tracedReplay{Replay: rp, runs: runs.Summarize(), hist: runs.Histogram(replayHistWidth)}, nil
 }
 
 // replayProbe, when non-nil, attaches one more tracer to every traced
@@ -381,29 +324,11 @@ func H2PStudy(s *Suite, n int) ([]H2PRow, error) {
 	rows := make([]H2PRow, len(reps))
 	for i, rp := range reps {
 		p := s.Programs[i]
-		schemes := make([]runlength.SchemeMisses, len(rp.preds))
-		for j, pr := range rp.preds {
-			schemes[j] = runlength.SchemeMisses{Scheme: pr.name, Misses: pr.siteMiss}
+		rows[i] = H2PRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset, Instrs: rp.instrs}
+		// A program with no executed branch keeps a nil Top (JSON null).
+		if top := rp.H2P(p.Prog.Sites, n); len(top) > 0 {
+			rows[i].Top = top
 		}
-		entries := runlength.RankH2P(rp.sites, rp.instrs, schemes, n)
-		row := H2PRow{Program: p.Workload.Name, Dataset: p.Runs[0].Dataset, Instrs: rp.instrs}
-		for _, e := range entries {
-			site := p.Prog.Sites[e.Stats.Site]
-			row.Top = append(row.Top, H2PSite{
-				Site:      e.Stats.Site,
-				Func:      site.Func,
-				Line:      site.Line,
-				Label:     site.Label,
-				Executed:  e.Stats.Executed,
-				TakenRate: e.Stats.TakenRate,
-				Entropy:   e.Stats.Entropy,
-				MeanRun:   e.Stats.MeanRun,
-				MaxRun:    e.Stats.MaxRun,
-				MPKI:      e.MPKI,
-				Score:     e.Score,
-			})
-		}
-		rows[i] = row
 	}
 	return rows, nil
 }

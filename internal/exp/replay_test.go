@@ -2,11 +2,14 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"branchprof/internal/engine"
+	"branchprof/internal/mfc"
 	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
 	"branchprof/internal/workloads"
@@ -205,5 +208,50 @@ func TestSharedReplayRunLengthsMatchStandalone(t *testing.T) {
 		if rows[i] != want {
 			t.Errorf("%s: shared replay row\n%+v\nstandalone\n%+v", p.Workload.Name, rows[i], want)
 		}
+	}
+}
+
+// TestTraceReplayErrors pins the primitive's error contract, which
+// branchprofd's classification reads: a run error comes back exactly
+// as the engine reported it, and an out-of-range tracer fails the
+// replay with ErrTracerContract.
+func TestTraceReplayErrors(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	prog, err := eng.Compile("bytes", replayMF, mfc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := replayBytes(500, 1)()
+	statics := []StaticTable{{"none", make([]bool, len(prog.Sites))}}
+
+	rp, err := TraceReplay(context.Background(), eng, prog, input, 0, statics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]string{"none"}, zooSchemes()...)
+	if len(rp.preds) != len(want) {
+		t.Fatalf("%d schemes, want %d", len(rp.preds), len(want))
+	}
+	for i, p := range rp.preds {
+		if p.name != want[i] {
+			t.Fatalf("scheme %d is %q, want %q", i, p.name, want[i])
+		}
+	}
+	if rp.Instrs() == 0 || len(rp.sites) != len(prog.Sites) {
+		t.Fatalf("replay measured %d instrs over %d sites", rp.Instrs(), len(rp.sites))
+	}
+
+	_, err = TraceReplay(context.Background(), eng, prog, input, 100, statics)
+	if !errors.Is(err, vm.ErrFuel) || errors.Is(err, ErrTracerContract) {
+		t.Fatalf("fuel-exhausted replay: %v, want the engine's fuel error", err)
+	}
+	_, direct := eng.Run(prog, "", input, &vm.Config{Fuel: 100, Trace: runlength.NewSites(len(prog.Sites))})
+	if direct == nil || err.Error() != direct.Error() {
+		t.Fatalf("replay error %q, engine reports %q", err, direct)
+	}
+
+	_, err = TraceReplay(context.Background(), eng, prog, input, 0, statics, oobProbe{})
+	if !errors.Is(err, ErrTracerContract) || !strings.HasPrefix(err.Error(), "tracer contract violation: dynpred: ") {
+		t.Fatalf("out-of-range tracer: %v, want ErrTracerContract", err)
 	}
 }

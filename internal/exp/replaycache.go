@@ -114,7 +114,8 @@ var errReplayEntry = errors.New("exp: malformed replay entry")
 
 // decodeReplay is encodeReplay's inverse for a program with the given
 // number of branch sites. It rejects any payload that is truncated,
-// has trailing bytes, or is not shaped like a replay of such a
+// has trailing bytes, is not encodeReplay's canonical encoding (an
+// overlong varint), or is not shaped like a replay of such a
 // program: the self, others and zoo schemes in report order, every
 // per-site table sized to the program, totals equal to the per-site
 // sums.
@@ -215,12 +216,15 @@ type replayReader struct {
 	err error
 }
 
+// uint reads one varint and rejects an overlong one (a zero final
+// byte after continuation bytes), which binary.Uvarint accepts but
+// encodeReplay never writes: every accepted payload is canonical.
 func (r *replayReader) uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
 		r.err = errReplayEntry
 		return 0
 	}

@@ -326,7 +326,7 @@ func TestReplayCodecRoundTrip(t *testing.T) {
 		v      any
 		fields int
 	}{
-		{tracedReplay{}, 5}, {schemeCounts{}, 5}, {runlength.SiteStats{}, 8}, {runlength.Stats{}, 7},
+		{tracedReplay{}, 3}, {Replay{}, 3}, {schemeCounts{}, 5}, {runlength.SiteStats{}, 8}, {runlength.Stats{}, 7},
 	} {
 		if got := reflect.TypeOf(c.v).NumField(); got != c.fields {
 			t.Errorf("%T has %d fields, the replay codec encodes %d: extend encodeReplay/decodeReplay and bump replayVersion",
@@ -462,4 +462,36 @@ func TestReplayKeySensitivity(t *testing.T) {
 		}
 		seen[k] = name
 	}
+}
+
+// FuzzReplayDecode feeds decodeReplay arbitrary bytes for a few site
+// counts. It must never panic, and any payload it accepts must be the
+// canonical encoding of what it decoded: re-encoding reproduces the
+// bytes, so one summary has exactly one accepted entry.
+func FuzzReplayDecode(f *testing.F) {
+	eng := engine.New(engine.Options{})
+	s, err := CollectCtx(context.Background(), eng, CollectOptions{Workloads: replayWorkloads()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	sites := []int{0, 1}
+	for _, p := range s.Programs {
+		rp, err := replayProgram(context.Background(), eng, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeReplay(rp))
+		sites = append(sites, len(p.Prog.Sites))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, n := range sites {
+			rp, err := decodeReplay(b, n)
+			if err != nil {
+				continue
+			}
+			if enc := encodeReplay(rp); !bytes.Equal(enc, b) {
+				t.Fatalf("payload accepted for %d sites re-encodes differently:\n in  %x\n out %x", n, b, enc)
+			}
+		}
+	})
 }

@@ -49,10 +49,7 @@ func TraceStudy(s *Suite) ([]TraceRow, error) {
 			return fmt.Errorf("exp: trace study measuring %s: %w", p.Workload.Name, err)
 		}
 		res := out.Res
-		heurDirs := make([]bool, len(p.Prog.Sites))
-		for i, site := range p.Prog.Sites {
-			heurDirs[i] = predict.LoopHeuristic(site) == predict.Taken
-		}
+		heurDirs := predict.FromHeuristic(p.Prog.Sites, predict.LoopHeuristic).TakenTable()
 
 		var blockNum, blockDen float64
 		var heurTraces, profTraces []cfg.Trace

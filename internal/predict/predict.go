@@ -71,6 +71,17 @@ type Prediction struct {
 // Sites returns the number of sites covered.
 func (p *Prediction) Sites() int { return len(p.Dir) }
 
+// TakenTable returns the prediction as a per-site predicted-taken
+// table, the form the tracers (dynpred.NewStatic, runlength.New)
+// consume.
+func (p *Prediction) TakenTable() []bool {
+	dirs := make([]bool, len(p.Dir))
+	for i, d := range p.Dir {
+		dirs[i] = d == Taken
+	}
+	return dirs
+}
+
 // Table is a weighted branch-count table, the common form to which
 // every profile combination reduces before directions are extracted.
 type Table struct {

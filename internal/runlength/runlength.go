@@ -31,11 +31,7 @@ type Recorder struct {
 
 // New builds a recorder for a prediction over the program's sites.
 func New(pred *predict.Prediction) *Recorder {
-	dirs := make([]bool, len(pred.Dir))
-	for i, d := range pred.Dir {
-		dirs[i] = d == predict.Taken
-	}
-	return &Recorder{dirs: dirs}
+	return &Recorder{dirs: pred.TakenTable()}
 }
 
 // Branch implements vm.Tracer. A site id outside the prediction's

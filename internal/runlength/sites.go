@@ -105,23 +105,25 @@ type SiteStats struct {
 func (s *SiteRecorder) Stats() []SiteStats {
 	out := make([]SiteStats, len(s.sites))
 	for i, site := range s.sites {
-		st := SiteStats{
-			Site:     i,
-			Executed: site.total,
-			Taken:    site.taken,
-			Entropy:  Entropy(site.taken, site.total),
-			Runs:     site.runCount,
-			MaxRun:   site.maxRun,
-		}
-		if st.Executed > 0 {
-			st.TakenRate = float64(st.Taken) / float64(st.Executed)
-		}
+		st := Outcome(i, site.taken, site.total)
+		st.Runs, st.MaxRun = site.runCount, site.maxRun
 		if st.Runs > 0 {
 			st.MeanRun = float64(st.Executed) / float64(st.Runs)
 		}
 		out[i] = st
 	}
 	return out
+}
+
+// Outcome summarizes a site from its outcome counts alone (taken of
+// total executions), with no run statistics: all a stored profile
+// records of the site.
+func Outcome(site int, taken, total uint64) SiteStats {
+	st := SiteStats{Site: site, Executed: total, Taken: taken, Entropy: Entropy(taken, total)}
+	if total > 0 {
+		st.TakenRate = float64(taken) / float64(total)
+	}
+	return st
 }
 
 // Entropy is the Shannon entropy, in bits, of a branch outcome with

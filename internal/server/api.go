@@ -194,6 +194,34 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, entry.Profile)
 }
 
+// storedProfile is one dataset's stored profile of a program.
+type storedProfile struct {
+	dataset string
+	prof    *ifprob.Profile
+}
+
+// storedProfiles returns program's stored profiles in key order
+// (store.Store.Keys is sorted). Each handler applies its own filter.
+func (s *Server) storedProfiles(ctx context.Context, program string) ([]storedProfile, error) {
+	keys, err := s.store.Keys(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var out []storedProfile
+	for _, key := range keys {
+		p, ds := splitDBKey(key)
+		if p != program {
+			continue
+		}
+		prof, err := s.store.Get(ctx, key)
+		if err != nil || prof == nil {
+			continue // key raced away between Keys and Get
+		}
+		out = append(out, storedProfile{ds, prof})
+	}
+	return out, nil
+}
+
 // handlePredict serves a cross-dataset prediction for a program from
 // the profiles accumulated so far.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -233,7 +261,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Gather the program's per-dataset profiles, holding out the target.
-	keys, err := s.store.Keys(r.Context())
+	stored, err := s.storedProfiles(r.Context(), req.Program)
 	if err != nil {
 		code, msg := classify(err)
 		writeError(w, code, msg)
@@ -242,26 +270,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var train []*ifprob.Profile
 	var trainedOn []string
 	var target *ifprob.Profile
-	for _, key := range keys {
-		p, ds := splitDBKey(key)
-		if p != req.Program {
-			continue
-		}
-		prof, err := s.store.Get(r.Context(), key)
-		if err != nil || prof == nil {
-			continue // key raced away between Keys and Get
-		}
-		if prof.Sites() != len(prog.Sites) {
+	for _, sp := range stored {
+		if sp.prof.Sites() != len(prog.Sites) {
 			// Accumulated under a different compilation of the same
 			// name; unusable for this image.
 			continue
 		}
-		if ds == req.TargetDataset {
-			target = prof
+		if sp.dataset == req.TargetDataset {
+			target = sp.prof
 			continue
 		}
-		train = append(train, prof)
-		trainedOn = append(trainedOn, ds)
+		train = append(train, sp.prof)
+		trainedOn = append(trainedOn, sp.dataset)
 	}
 
 	pr, err := predict.Combine(train, mode, prog.Sites, predict.LoopHeuristic)

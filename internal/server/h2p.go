@@ -4,15 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 
-	"branchprof/internal/dynpred"
 	"branchprof/internal/exp"
 	"branchprof/internal/ifprob"
 	"branchprof/internal/mfc"
 	"branchprof/internal/predict"
 	"branchprof/internal/runlength"
-	"branchprof/internal/vm"
 )
 
 // The /v1/h2p endpoint serves hard-to-predict branch reports: which
@@ -28,7 +25,9 @@ import (
 //     one run through the full predictor zoo (profile-fed static,
 //     1-bit, 2-bit, two-level, gshare, bi-mode) plus the per-branch
 //     outcome recorder, and ranks sites by their minimum MPKI across
-//     schemes — the real H2P score.
+//     schemes — the real H2P score. It is the paper pipeline's traced
+//     replay and ranking (exp.TraceReplay, Replay.H2P) with one
+//     "profile" table in place of self/others.
 
 // h2pProfileSite is one ranked branch in the profile-only (GET) report.
 type h2pProfileSite struct {
@@ -74,23 +73,6 @@ type h2pRequest struct {
 	N int `json:"n"`
 }
 
-// h2pTracedSite is one ranked branch in the traced (POST) report.
-type h2pTracedSite struct {
-	Site      int     `json:"site"`
-	Func      string  `json:"func"`
-	Line      int     `json:"line"`
-	Label     string  `json:"label"`
-	Executed  uint64  `json:"executed"`
-	TakenRate float64 `json:"taken_rate"`
-	Entropy   float64 `json:"entropy"`
-	MeanRun   float64 `json:"mean_run"`
-	MaxRun    uint64  `json:"max_run"`
-	// MPKI lists the site's cost under every scheme; Score is the
-	// minimum — a branch is only as hard as its best predictor finds it.
-	MPKI  []runlength.SchemeMPKI `json:"mpki"`
-	Score float64                `json:"score"`
-}
-
 // h2pTracedResponse is the POST /v1/h2p reply.
 type h2pTracedResponse struct {
 	Program string `json:"program"`
@@ -99,12 +81,12 @@ type h2pTracedResponse struct {
 	// TrainedOn lists the stored datasets that fed the static
 	// profile-based scheme; empty means it fell back to the loop
 	// heuristic.
-	TrainedOn     []string        `json:"trained_on"`
-	HeuristicOnly bool            `json:"heuristic_only"`
-	Sites         int             `json:"sites"`
-	Instrs        uint64          `json:"instrs"`
-	Top           []h2pTracedSite `json:"top"`
-	Degraded      bool            `json:"degraded"`
+	TrainedOn     []string      `json:"trained_on"`
+	HeuristicOnly bool          `json:"heuristic_only"`
+	Sites         int           `json:"sites"`
+	Instrs        uint64        `json:"instrs"`
+	Top           []exp.H2PSite `json:"top"`
+	Degraded      bool          `json:"degraded"`
 }
 
 // handleH2P dispatches on method: GET is the profile-only report,
@@ -134,41 +116,32 @@ func (s *Server) handleH2PProfiles(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "n must be a non-negative integer")
 		return
 	}
-	keys, err := s.store.Keys(r.Context())
+	stored, err := s.storedProfiles(r.Context(), program)
 	if err != nil {
 		code, msg := classify(err)
 		writeError(w, code, msg)
 		return
 	}
-	sort.Strings(keys)
 	// Merge every stored profile that shares the first-seen compiled
 	// shape; profiles from a different compilation of the same name are
 	// reported as skipped rather than silently mixed.
 	var merged *ifprob.Profile
 	resp := h2pProfileResponse{Program: program, Mode: "profiles"}
-	for _, key := range keys {
-		p, ds := splitDBKey(key)
-		if p != program {
-			continue
-		}
-		prof, err := s.store.Get(r.Context(), key)
-		if err != nil || prof == nil {
-			continue // key raced away between Keys and Get
-		}
+	for _, sp := range stored {
 		// Stored profiles carry the composite program@dataset key in
 		// Program; normalize so per-dataset profiles of one program merge.
-		prof = prof.Clone()
+		prof := sp.prof.Clone()
 		prof.Program = program
 		if merged == nil {
 			merged = prof
-			resp.Datasets = append(resp.Datasets, ds)
+			resp.Datasets = append(resp.Datasets, sp.dataset)
 			continue
 		}
 		if prof.Sites() != merged.Sites() || merged.Merge(prof) != nil {
-			resp.SkippedDatasets = append(resp.SkippedDatasets, ds)
+			resp.SkippedDatasets = append(resp.SkippedDatasets, sp.dataset)
 			continue
 		}
-		resp.Datasets = append(resp.Datasets, ds)
+		resp.Datasets = append(resp.Datasets, sp.dataset)
 	}
 	if merged == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no profiles accumulated for %q", program))
@@ -176,41 +149,27 @@ func (s *Server) handleH2PProfiles(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Sites = merged.Sites()
 	resp.Instrs = merged.Instrs
-	sites := make([]h2pProfileSite, 0, merged.Sites())
-	for i := range merged.Total {
-		total, taken := merged.Total[i], merged.Taken[i]
-		if total == 0 {
-			continue
-		}
-		// The best static prediction follows the majority direction, so
-		// it mispredicts the minority count.
-		miss := taken
-		if other := total - taken; other < miss {
-			miss = other
-		}
-		sites = append(sites, h2pProfileSite{
-			Site:      i,
-			Executed:  total,
-			Taken:     taken,
-			TakenRate: float64(taken) / float64(total),
-			Entropy:   runlength.Entropy(taken, total),
-			MPKI:      runlength.MPKI(miss, merged.Instrs),
-		})
+	// Rank under one scheme, the best static prediction: it follows the
+	// majority direction, so it mispredicts the minority count.
+	stats := make([]runlength.SiteStats, len(merged.Total))
+	best := make([]uint64, len(merged.Total))
+	for i, total := range merged.Total {
+		taken := merged.Taken[i]
+		stats[i] = runlength.Outcome(i, taken, total)
+		best[i] = min(taken, total-taken)
 	}
-	sort.Slice(sites, func(i, j int) bool {
-		a, b := sites[i], sites[j]
-		if a.MPKI != b.MPKI {
-			return a.MPKI > b.MPKI
+	entries := runlength.RankH2P(stats, merged.Instrs, []runlength.SchemeMisses{{Scheme: "best-static", Misses: best}}, n)
+	resp.Top = make([]h2pProfileSite, len(entries))
+	for i, e := range entries {
+		resp.Top[i] = h2pProfileSite{
+			Site:      e.Stats.Site,
+			Executed:  e.Stats.Executed,
+			Taken:     e.Stats.Taken,
+			TakenRate: e.Stats.TakenRate,
+			Entropy:   e.Stats.Entropy,
+			MPKI:      e.Score,
 		}
-		if a.Executed != b.Executed {
-			return a.Executed > b.Executed
-		}
-		return a.Site < b.Site
-	})
-	if n > 0 && n < len(sites) {
-		sites = sites[:n]
 	}
-	resp.Top = sites
 	resp.Degraded = s.Degraded()
 	s.m.h2pReport("profiles", resp.Sites, topScore(resp.Top), 0)
 	writeJSON(w, http.StatusOK, resp)
@@ -258,26 +217,19 @@ func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 	// Feed the static scheme from the program's stored profiles — the
 	// paper's feedback loop — falling back to the loop heuristic when
 	// nothing usable is accumulated.
-	keys, err := s.store.Keys(r.Context())
+	stored, err := s.storedProfiles(r.Context(), req.Program)
 	if err != nil {
 		code, msg := classify(err)
 		writeError(w, code, msg)
 		return
 	}
-	sort.Strings(keys)
 	var train []*ifprob.Profile
 	var trainedOn []string
-	for _, key := range keys {
-		p, ds := splitDBKey(key)
-		if p != req.Program {
-			continue
+	for _, sp := range stored {
+		if sp.prof.Sites() == len(prog.Sites) {
+			train = append(train, sp.prof)
+			trainedOn = append(trainedOn, sp.dataset)
 		}
-		prof, err := s.store.Get(r.Context(), key)
-		if err != nil || prof == nil || prof.Sites() != len(prog.Sites) {
-			continue
-		}
-		train = append(train, prof)
-		trainedOn = append(trainedOn, ds)
 	}
 	pr, err := predict.Combine(train, predict.Scaled, prog.Sites, predict.LoopHeuristic)
 	heuristicOnly := false
@@ -289,39 +241,26 @@ func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	dirs := make([]bool, len(pr.Dir))
-	for i, d := range pr.Dir {
-		dirs[i] = d == predict.Taken
-	}
-
-	static := dynpred.NewStatic("profile", dirs)
-	preds := append([]dynpred.Predictor{static}, dynpred.Zoo(len(prog.Sites))...)
-	rec := runlength.NewSites(len(prog.Sites))
-	multi := &dynpred.Multi{Predictors: preds, Extra: []vm.Tracer{rec}}
 
 	fuel := req.Fuel
 	if fuel == 0 || fuel > s.opts.MaxFuel {
 		fuel = s.opts.MaxFuel
 	}
-	res, err := s.eng.RunContext(r.Context(), prog, "", []byte(req.Input), &vm.Config{Fuel: fuel, Trace: multi})
+	statics := []exp.StaticTable{{Name: "profile", Dirs: pr.TakenTable()}}
+	rp, err := exp.TraceReplay(r.Context(), s.eng, prog, []byte(req.Input), fuel, statics)
 	s.feedEngineDiskHealth()
+	if errors.Is(err, exp.ErrTracerContract) {
+		// Predictors sized from the compiled program can only trip this
+		// on an internal invariant violation — an honest 500.
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	if err != nil {
 		code, msg := classify(err)
 		writeError(w, code, msg)
 		return
 	}
-	if err := multi.Err(); err != nil {
-		// Predictors sized from the compiled program can only trip this
-		// on an internal invariant violation — an honest 500.
-		writeError(w, http.StatusInternalServerError, "tracer contract violation: "+err.Error())
-		return
-	}
 
-	schemes := make([]runlength.SchemeMisses, len(preds))
-	for i, p := range preds {
-		schemes[i] = runlength.SchemeMisses{Scheme: p.Name(), Misses: p.SiteMispredicts()}
-	}
-	entries := runlength.RankH2P(rec.Stats(), res.Instrs, schemes, n)
 	resp := h2pTracedResponse{
 		Program:       req.Program,
 		Mode:          "traced",
@@ -329,32 +268,15 @@ func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 		TrainedOn:     trainedOn,
 		HeuristicOnly: heuristicOnly,
 		Sites:         len(prog.Sites),
-		Instrs:        res.Instrs,
-		Top:           make([]h2pTracedSite, 0, len(entries)),
+		Instrs:        rp.Instrs(),
+		Top:           rp.H2P(prog.Sites, n),
 		Degraded:      s.Degraded(),
-	}
-	for _, e := range entries {
-		site := h2pTracedSite{
-			Site:      e.Stats.Site,
-			Executed:  e.Stats.Executed,
-			TakenRate: e.Stats.TakenRate,
-			Entropy:   e.Stats.Entropy,
-			MeanRun:   e.Stats.MeanRun,
-			MaxRun:    e.Stats.MaxRun,
-			MPKI:      e.MPKI,
-			Score:     e.Score,
-		}
-		if e.Stats.Site < len(prog.Sites) {
-			meta := prog.Sites[e.Stats.Site]
-			site.Func, site.Line, site.Label = meta.Func, meta.Line, meta.Label
-		}
-		resp.Top = append(resp.Top, site)
 	}
 	var top float64
 	if len(resp.Top) > 0 {
 		top = resp.Top[0].Score
 	}
-	s.m.h2pReport("traced", resp.Sites, top, res.Instrs)
+	s.m.h2pReport("traced", resp.Sites, top, resp.Instrs)
 	// All scores are finite here, but route through the same non-finite-
 	// safe encoder as /v1/predict so the contract cannot rot.
 	data, err := exp.MarshalSafe(resp)
