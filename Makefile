@@ -7,7 +7,8 @@
 #                 identity tests, which re-run un-raced under `make test`;
 #                 the race detector still covers Collect's worker pool
 #                 and every cache path via the package's other tests)
-#   make chaos    the fault-injection matrix under the race detector,
+#   make chaos    the fault-injection matrix (and cache eviction racing
+#                 reads) under the race detector,
 #                 run twice (-count=2) to shake out ordering luck; -short
 #                 keeps the full-matrix degraded tests in `make test`
 #   make obs      the observability golden tests (byte-exact trace,
@@ -82,7 +83,7 @@ race:
 		./internal/dynpred/... ./internal/runlength/...
 
 chaos:
-	$(GO) test -race -count=2 -short -run 'Fault|Degraded|Cancel|Retry|Torn|Corrupt|Partial' \
+	$(GO) test -race -count=2 -short -run 'Fault|Degraded|Cancel|Retry|Torn|Corrupt|Partial|Evict' \
 		./internal/faults/... ./internal/engine/... ./internal/exp/... \
 		./internal/ifprob/... ./internal/predict/... ./internal/vm/...
 

@@ -27,16 +27,19 @@ func sharedSuite(b *testing.B) *exp.Suite {
 	return s
 }
 
-// unreplayedSuite re-collects the matrix through the package engine
-// with the timer stopped. Once sharedSuite has warmed that engine every
-// cell is a memory-cache hit, and the fresh suite's shared traced
-// replay has not run yet, so the next replay study times exactly one
-// replay instead of a memo read.
+// unreplayedSuite collects the matrix through a new package engine
+// with the timer stopped, so the next replay study times exactly one
+// traced replay per program: the new engine holds no derived entry to
+// serve it from (and has no cache directory), and the new suite's
+// replay memo is empty. The caller restores the previous package
+// engine when it is done.
 func unreplayedSuite(b *testing.B) *exp.Suite {
 	b.Helper()
 	b.StopTimer()
 	defer b.StartTimer()
-	s, err := exp.CollectWith(exp.Engine())
+	eng := engine.New(engine.Options{})
+	exp.SetEngine(eng)
+	s, err := exp.CollectWith(eng)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,13 +269,11 @@ func BenchmarkMotivation(b *testing.B) {
 
 // BenchmarkStaticVsDynamic regenerates the extension comparing static
 // profile prediction with simulated 1/2-bit hardware predictors. It
-// times the traced replay itself: the package engine has no cache
-// directory, so no replay is served from disk.
+// times the traced replay itself: each iteration's engine is new, so
+// no replay is served from a derived entry.
 func BenchmarkStaticVsDynamic(b *testing.B) {
-	sharedSuite(b)
-	if exp.Engine().Persistent() {
-		b.Fatal("package engine has a cache directory; replays would be read, not traced")
-	}
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
 	b.ResetTimer()
 	var rows []exp.DynRow
 	var err error
@@ -332,7 +333,8 @@ func BenchmarkStaticVsDynamicCached(b *testing.B) {
 // BenchmarkRunLengths regenerates the run-length distribution
 // extension.
 func BenchmarkRunLengths(b *testing.B) {
-	sharedSuite(b)
+	prev := exp.Engine()
+	defer exp.SetEngine(prev)
 	b.ResetTimer()
 	var rows []exp.RunLengthRow
 	var err error

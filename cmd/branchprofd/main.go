@@ -8,7 +8,7 @@
 //
 //	branchprofd [-addr :8723] [-db profiles.json] [-shards N]
 //	            [-wal DIR] [-fsync record|batch|interval] [-fsync-interval D]
-//	            [-cache-dir DIR]
+//	            [-cache-dir DIR] [-cache-max-bytes N]
 //	            [-self ID] [-peers URL,URL,...] [-sync-interval D]
 //	            [-concurrency N] [-queue N] [-request-timeout D]
 //	            [-max-body N] [-max-fuel N] [-drain-timeout D]

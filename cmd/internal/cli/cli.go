@@ -1,11 +1,11 @@
 // Package cli factors the plumbing every MF command-line tool used to
 // carry privately: source-file loading with the optional runtime
 // prelude, dataset input reading (file or stdin), uniform error
-// reporting, and the shared flags (-cache-dir, -stats, -timeout,
-// -max-retries, -allow-partial) that give each tool the shared
-// compile→run→profile pipeline with its persistent measurement cache,
-// per-stage statistics, and the robustness controls from
-// docs/ROBUSTNESS.md. Context wires SIGINT/SIGTERM into engine
+// reporting, and the shared flags (-cache-dir, -cache-max-bytes,
+// -stats, -timeout, -max-retries, -allow-partial) that give each tool
+// the shared compile→run→profile pipeline with its bounded persistent
+// measurement cache, per-stage statistics, and the robustness controls
+// from docs/ROBUSTNESS.md. Context wires SIGINT/SIGTERM into engine
 // cancellation: the first signal cancels in-flight work and still
 // flushes -stats; a second force-exits.
 package cli
@@ -36,6 +36,7 @@ type Tool struct {
 	Name string
 
 	cacheDir     *string
+	cacheMax     *int64
 	stats        *bool
 	timeout      *time.Duration
 	maxRetries   *int
@@ -69,6 +70,7 @@ func New(name string) *Tool {
 	return &Tool{
 		Name:         name,
 		cacheDir:     flag.String("cache-dir", "", "persistent measurement cache directory (empty = in-memory only)"),
+		cacheMax:     flag.Int64("cache-max-bytes", engine.DefaultCacheMaxBytes, "byte budget for -cache-dir; past it the least recently used entries are evicted"),
 		stats:        flag.Bool("stats", false, "print engine pipeline statistics to stderr on exit"),
 		timeout:      flag.Duration("timeout", 0, "overall deadline for the tool's measurement work (0 = none)"),
 		maxRetries:   flag.Int("max-retries", 2, "retries for transient cache I/O faults (0 disables)"),
@@ -83,14 +85,14 @@ func New(name string) *Tool {
 }
 
 // Engine returns the tool's engine, built on first use from the
-// -cache-dir, -max-retries and observability flags.
+// -cache-dir, -cache-max-bytes, -max-retries and observability flags.
 func (t *Tool) Engine() *engine.Engine {
 	t.engOnce.Do(func() {
 		retries := *t.maxRetries
 		if retries <= 0 {
 			retries = -1 // engine spells "retries disabled" as negative; 0 picks its default
 		}
-		t.eng = engine.New(engine.Options{CacheDir: *t.cacheDir, MaxRetries: retries, Obs: t.Obs()})
+		t.eng = engine.New(engine.Options{CacheDir: *t.cacheDir, CacheMaxBytes: *t.cacheMax, MaxRetries: retries, Obs: t.Obs()})
 	})
 	return t.eng
 }

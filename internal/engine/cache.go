@@ -7,7 +7,11 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"branchprof/internal/faults"
 	"branchprof/internal/flock"
@@ -51,6 +55,30 @@ func (c *lruCache) add(key string, val any) {
 		el.Value.(*lruEntry).val = val
 		return
 	}
+	c.push(key, val)
+}
+
+// getOrAdd returns key's value when valid accepts it, and otherwise
+// stores and returns mk()'s, so concurrent callers share one value.
+func (c *lruCache) getOrAdd(key string, valid func(any) bool, mk func() any) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		ent := el.Value.(*lruEntry)
+		c.ll.MoveToFront(el)
+		if !valid(ent.val) {
+			ent.val = mk()
+		}
+		return ent.val
+	}
+	val := mk()
+	c.push(key, val)
+	return val
+}
+
+// push inserts a new key as the most recent entry and evicts the
+// least recent beyond the bound. c.mu must be held.
+func (c *lruCache) push(key string, val any) {
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, val: val})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
@@ -89,28 +117,49 @@ type derivedEntry struct {
 	Payload []byte `json:"derived"`
 }
 
+// DefaultCacheMaxBytes is the cache directory's default byte budget
+// (Options.CacheMaxBytes). A full paper pass stores ~125 entries in
+// ~1.9 MB, so it fits many times over.
+const DefaultCacheMaxBytes int64 = 64 << 20
+
 // diskCache is the persistent content-addressed measurement store:
 // one JSON file per key under dir, written atomically (temp file +
 // rename) so a crashed writer can only ever leave a stray temp file,
-// never a truncated entry at the final path. The fault set (nil in
-// production) lets chaos tests tear writes partway through to prove
-// load rejects the result.
+// never a truncated entry at the final path. The directory holds at
+// most max bytes of entries: each write accounts for its bytes and,
+// past the budget, evicts the least recently used entries. The fault
+// set (nil in production) lets chaos tests tear writes partway through
+// to prove load rejects the result.
 type diskCache struct {
-	dir    string
-	faults *faults.Set
+	dir     string
+	faults  *faults.Set
+	max     int64          // byte budget for the entries
+	evicted *atomic.Uint64 // the engine's eviction counter
+	mu      sync.Mutex     // orders this process's writers (with the directory lock)
+	size    int64          // estimated entry bytes under dir; -1 until a write scans it
+}
+
+func newDiskCache(dir string, max int64, fs *faults.Set, evicted *atomic.Uint64) *diskCache {
+	return &diskCache{dir: dir, faults: fs, max: max, evicted: evicted, size: -1}
 }
 
 func (d *diskCache) path(key string) string {
 	return filepath.Join(d.dir, key+".json")
 }
 
-// read returns the raw bytes of key's entry. ok reports that a file
-// was read; invalid reports that one existed but could not be read.
+// read returns the raw bytes of key's entry and marks it recently
+// used for eviction. ok reports that a file was read; invalid reports
+// that one existed but could not be read. A file that is missing, or
+// evicted by another writer while this read ran, is a plain miss.
 func (d *diskCache) read(key string) (data []byte, ok, invalid bool) {
-	data, err := os.ReadFile(d.path(key))
+	path := d.path(key)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, !errors.Is(err, fs.ErrNotExist)
 	}
+	// The mtime is the entry's last use; losing the file meanwhile is
+	// harmless.
+	os.Chtimes(path, time.Time{}, time.Now()) //nolint:errcheck
 	return data, true, false
 }
 
@@ -185,6 +234,8 @@ func (d *diskCache) write(key, label string, ent any) error {
 	// (advisory `<dir>/.branchprof.lock`, see docs/ENGINE.md). Loads
 	// stay lock-free: every entry is validated on read and a bad one
 	// degrades to a miss.
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	lock, err := flock.Acquire(flock.CacheLockPath(d.dir))
 	if err != nil {
 		return err
@@ -208,5 +259,80 @@ func (d *diskCache) write(key, label string, ent any) error {
 		os.Remove(tmp.Name())
 		return err
 	}
+	d.account(int64(len(data)))
 	return nil
+}
+
+// account adds a written entry's n bytes to the directory's size and,
+// past the budget, rescans the directory (other processes write to it
+// too) and evicts the least recently used entries, oldest mtime first,
+// down to 7/8 of the budget, so a run of writes does not rescan on
+// every one. Temp files count and are evicted like entries: with the
+// directory lock held, any that exist were left by crashed writers.
+// Callers hold d.mu and the directory lock. A zero max (a bare
+// diskCache; the engine always sets one) means no budget.
+func (d *diskCache) account(n int64) {
+	if d.max <= 0 {
+		return
+	}
+	if d.size >= 0 && d.size+n <= d.max {
+		d.size += n
+		return
+	}
+	ents := d.scan()
+	var total int64
+	for _, e := range ents {
+		total += e.size
+	}
+	if total > d.max {
+		sort.Slice(ents, func(i, j int) bool {
+			if !ents[i].used.Equal(ents[j].used) {
+				return ents[i].used.Before(ents[j].used)
+			}
+			return ents[i].name < ents[j].name
+		})
+		low := d.max - d.max/8
+		for _, e := range ents {
+			if total <= low {
+				break
+			}
+			err := os.Remove(filepath.Join(d.dir, e.name))
+			if err == nil {
+				d.evicted.Add(1)
+			}
+			if err == nil || errors.Is(err, fs.ErrNotExist) {
+				total -= e.size
+			}
+		}
+	}
+	d.size = total
+}
+
+// cacheFile is one entry file found by scan.
+type cacheFile struct {
+	name string
+	size int64
+	used time.Time // mtime: written or last read
+}
+
+// scan lists the directory's entry files: finished entries and temp
+// files, never the lock file or anything else.
+func (d *diskCache) scan() []cacheFile {
+	des, err := os.ReadDir(d.dir)
+	if err != nil {
+		return nil
+	}
+	var out []cacheFile
+	for _, de := range des {
+		name := de.Name()
+		if !de.Type().IsRegular() || !(strings.HasSuffix(name, ".json") || strings.HasPrefix(name, "entry-") && strings.HasSuffix(name, ".tmp")) {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			continue // evicted or replaced since ReadDir
+		}
+		out = append(out, cacheFile{name: name, size: info.Size(), used: info.ModTime()})
+	}
+	return out
 }

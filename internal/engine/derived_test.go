@@ -25,23 +25,72 @@ func loadPayload(e *Engine, key string, reject bool) ([]byte, bool) {
 }
 
 // TestDerivedEntriesWithoutCacheDir: an engine with no cache directory
-// reports itself non-persistent, never hits, counts nothing and prints
-// no replay line.
+// keeps derived entries in memory: a stored payload hits, a missing
+// one misses, both are counted, nothing reaches the disk, and the
+// replay -stats line appears once lookups happen (never before).
 func TestDerivedEntriesWithoutCacheDir(t *testing.T) {
 	e := New(Options{})
-	if e.Persistent() {
-		t.Fatal("engine without a cache directory reports Persistent")
+	if s := e.Stats().String(); strings.Contains(s, "replay") {
+		t.Fatalf("-stats before any replay lookup mentions replays:\n%s", s)
+	}
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadDir(cwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := loadPayload(e, "k", false); ok {
+		t.Fatal("LoadDerived hit before any store")
 	}
 	e.StoreDerived("k", "t", []byte("payload"))
-	if _, ok := loadPayload(e, "k", false); ok {
-		t.Fatal("LoadDerived hit without a cache directory")
+	if got, ok := loadPayload(e, "k", false); !ok || string(got) != "payload" {
+		t.Fatalf("in-memory derived entry loaded %q (hit=%t), want a hit", got, ok)
 	}
 	st := e.Stats()
-	if st.ReplayHits+st.ReplayMisses+st.ReplayInvalid != 0 {
-		t.Fatalf("replay counters moved without a cache directory: %+v", st)
+	if st.ReplayHits != 1 || st.ReplayMisses != 1 || st.ReplayInvalid != 0 {
+		t.Fatalf("replay hits/misses/invalid = %d/%d/%d, want 1/1/0", st.ReplayHits, st.ReplayMisses, st.ReplayInvalid)
 	}
-	if s := st.String(); strings.Contains(s, "replay") {
-		t.Fatalf("-stats without replay lookups mentions replays:\n%s", s)
+	if st.DiskHits+st.DiskMisses+st.DiskWriteErrs != 0 {
+		t.Fatalf("derived entries touched the disk counters without a cache directory: %+v", st)
+	}
+	if want := "\nengine: replay cache 1/2 hits"; !strings.Contains(st.String(), want) {
+		t.Fatalf("-stats lacks %q:\n%s", want, st.String())
+	}
+	after, err := os.ReadDir(cwd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("derived entries without a cache directory wrote files: %d entries in %s, was %d", len(after), cwd, len(before))
+	}
+}
+
+// TestDerivedMemoryTierBounded: the memory tier holds at most
+// MemEntries payloads, evicting the least recently used, and a disk
+// hit refills it.
+func TestDerivedMemoryTierBounded(t *testing.T) {
+	dir := t.TempDir()
+	e := New(Options{MemEntries: 2, CacheDir: dir})
+	for _, k := range []string{"a", "b", "c"} {
+		e.StoreDerived(k, "t", []byte("payload-"+k))
+	}
+	if n := e.derived.len(); n != 2 {
+		t.Fatalf("memory tier holds %d payloads, want MemEntries (2)", n)
+	}
+	if _, ok := e.derived.get("a"); ok {
+		t.Fatal("least recently used payload was kept")
+	}
+	// "a" is still on disk: the lookup hits there and refills memory.
+	if got, ok := loadPayload(e, "a", false); !ok || string(got) != "payload-a" {
+		t.Fatalf("disk tier loaded %q (hit=%t), want payload-a", got, ok)
+	}
+	if _, ok := e.derived.get("a"); !ok {
+		t.Fatal("a disk hit did not fill the memory tier")
+	}
+	if n := e.derived.len(); n != 2 {
+		t.Fatalf("memory tier holds %d payloads after a refill, want 2", n)
 	}
 }
 
@@ -51,9 +100,6 @@ func TestDerivedEntriesWithoutCacheDir(t *testing.T) {
 func TestDerivedEntriesRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Options{CacheDir: dir})
-	if !e.Persistent() {
-		t.Fatal("engine with a cache directory is not Persistent")
-	}
 	payload := []byte{0, 1, 2, 0xff, '\n', '"'}
 	if _, ok := loadPayload(e, "k1", false); ok {
 		t.Fatal("hit before any store")

@@ -14,11 +14,13 @@
 // compiler options, input bytes, the VM configuration fingerprint and
 // the VM's semantics version (see docs/ENGINE.md for the derivation
 // and invalidation rules). A stale, corrupt or truncated cache entry
-// is never fatal: it is discarded, counted, and recomputed. The same
-// on-disk cache also keeps derived entries: opaque payloads a caller
-// computed from measurements, keyed and encoded by that caller
-// (LoadDerived/StoreDerived; internal/exp stores its traced replays
-// this way).
+// is never fatal: it is discarded, counted, and recomputed. The
+// on-disk cache holds at most Options.CacheMaxBytes of entries and
+// evicts the least recently used beyond that. The engine also keeps
+// derived entries: opaque payloads a caller computed from
+// measurements, keyed and encoded by that caller, in memory and, with
+// a cache directory, on disk (LoadDerived/StoreDerived; internal/exp
+// stores its traced replays this way).
 //
 // The engine also provides the bounded worker pool used to collect
 // the experiment matrix in parallel, and per-stage observability
@@ -64,9 +66,14 @@ type Options struct {
 	// Workers bounds the engine's parallel collection pool;
 	// 0 means GOMAXPROCS.
 	Workers int
-	// MemEntries bounds the in-memory LRU of completed measurements;
-	// 0 means the default of 256 entries.
+	// MemEntries bounds each in-memory LRU: completed measurements,
+	// compiled programs, per-program digests and images, and derived
+	// payloads; 0 means the default of 256 entries.
 	MemEntries int
+	// CacheMaxBytes bounds the bytes of entries kept under CacheDir;
+	// writes past it evict the least recently used entries. 0 means
+	// DefaultCacheMaxBytes.
+	CacheMaxBytes int64
 	// Faults, when non-nil, injects deterministic faults at the
 	// pipeline and cache stages (chaos tests only; nil in production).
 	Faults *faults.Set
@@ -90,7 +97,8 @@ type Engine struct {
 	workers    int
 	mem        *lruCache // execution key → *Outcome
 	progs      *lruCache // compile key → *isa.Program
-	images     *lruCache // program address → *vm.Image (pre-decoded)
+	images     *lruCache // program address → *loaded (digest, pre-decoded image)
+	derived    *lruCache // derived-entry key → payload []byte
 	disk       *diskCache
 	faults     *faults.Set
 	maxRetries int
@@ -105,12 +113,19 @@ type Engine struct {
 	imageHits   atomic.Uint64
 	imageMisses atomic.Uint64
 
+	// digests counts program content digests hashed (Stats.Digests).
+	digests atomic.Uint64
+
 	// Derived-entry lookups (LoadDerived), exported as the
 	// branchprof_engine_replay_{hits,misses,invalid} gauges and kept
 	// apart from the measurement cache counters.
 	replayHits    atomic.Uint64
 	replayMisses  atomic.Uint64
 	replayInvalid atomic.Uint64
+
+	// Disk entries evicted to keep CacheDir under its byte budget,
+	// exported as the branchprof_engine_cache_evictions gauge.
+	evictions atomic.Uint64
 
 	mu       sync.Mutex
 	inflight map[string]*call
@@ -123,6 +138,9 @@ func New(opts Options) *Engine {
 	}
 	if opts.MemEntries <= 0 {
 		opts.MemEntries = 256
+	}
+	if opts.CacheMaxBytes <= 0 {
+		opts.CacheMaxBytes = DefaultCacheMaxBytes
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
@@ -141,6 +159,7 @@ func New(opts Options) *Engine {
 		mem:        newLRU(opts.MemEntries),
 		progs:      newLRU(opts.MemEntries),
 		images:     newLRU(opts.MemEntries),
+		derived:    newLRU(opts.MemEntries),
 		faults:     opts.Faults,
 		maxRetries: opts.MaxRetries,
 		backoff:    opts.RetryBackoff,
@@ -150,7 +169,7 @@ func New(opts Options) *Engine {
 		inflight:   make(map[string]*call),
 	}
 	if opts.CacheDir != "" {
-		e.disk = &diskCache{dir: opts.CacheDir, faults: opts.Faults}
+		e.disk = newDiskCache(opts.CacheDir, opts.CacheMaxBytes, opts.Faults, &e.evictions)
 	}
 	reg.GaugeFunc("branchprof_engine_image_hits",
 		"Pre-decoded VM image cache hits.",
@@ -167,6 +186,9 @@ func New(opts Options) *Engine {
 	reg.GaugeFunc("branchprof_engine_replay_invalid",
 		"Corrupt, stale or misplaced derived (traced replay) entries discarded and recomputed.",
 		func() float64 { return float64(e.replayInvalid.Load()) })
+	reg.GaugeFunc("branchprof_engine_cache_evictions",
+		"Disk cache entries evicted, least recently used first, to keep the cache directory under its byte budget.",
+		func() float64 { return float64(e.evictions.Load()) })
 	return e
 }
 
@@ -581,26 +603,31 @@ func (e *Engine) writeRetry(label string, write func() error) {
 	}
 }
 
-// Persistent reports whether the engine has an on-disk cache
-// (Options.CacheDir was set). Without one, LoadDerived always misses
-// and StoreDerived drops the payload, so callers can skip building
-// either.
-func (e *Engine) Persistent() bool { return e.disk != nil }
-
 // LoadDerived looks up a derived entry: an opaque payload that a
 // caller computed from measurements, encoded itself and stored with
 // StoreDerived under a key it derived itself. The key must hash
-// everything the payload depends on; the engine echoes it in the
-// entry, so a misplaced file is rejected. On a readable entry whose
-// envelope checks out, LoadDerived hands the payload to decode and
-// reports a hit when decode accepts it. A corrupt, truncated, stale
-// or misplaced entry, or one decode rejects, counts as invalid and
-// reads as a miss. Reads share the measurement cache's directory,
-// cache-read fault stage and retry policy, but count in their own
-// ReplayHits/ReplayMisses/ReplayInvalid. Without a cache directory
-// LoadDerived reports false and counts nothing.
+// everything the payload depends on. Entries live in a bounded
+// in-memory LRU (MemEntries payloads) and, with a cache directory, on
+// disk, where the engine echoes the key in the entry so a misplaced
+// file is rejected; a disk hit also fills the memory tier. LoadDerived
+// hands the payload, read-only, to decode and reports a hit when decode
+// accepts it. A corrupt, truncated, stale or misplaced entry, or one
+// decode rejects, counts as invalid and reads as a miss. Disk reads
+// share the measurement cache's directory, cache-read fault stage and
+// retry policy, but every lookup counts in its own
+// ReplayHits/ReplayMisses/ReplayInvalid.
 func (e *Engine) LoadDerived(key, label string, decode func(payload []byte) error) bool {
+	if v, ok := e.derived.get(key); ok {
+		if decode(v.([]byte)) == nil {
+			e.replayHits.Add(1)
+			return true
+		}
+		e.replayInvalid.Add(1)
+		e.replayMisses.Add(1)
+		return false
+	}
 	if e.disk == nil {
+		e.replayMisses.Add(1)
 		return false
 	}
 	var payload []byte
@@ -618,16 +645,20 @@ func (e *Engine) LoadDerived(key, label string, decode func(payload []byte) erro
 		e.replayMisses.Add(1)
 		return false
 	}
+	e.derived.add(key, payload)
 	e.replayHits.Add(1)
 	return true
 }
 
-// StoreDerived persists payload as key's derived entry, with the
-// measurement cache's atomic write, cross-process lock, cache-write
-// fault stage and retry policy; a failed write is counted in
-// DiskWriteErrs and dropped. Without a cache directory it does
-// nothing. Callers store only complete, successful results.
+// StoreDerived keeps payload as key's derived entry: always in the
+// memory tier, which retains payload (the caller must not modify it
+// afterwards), and, with a cache directory, on disk with the
+// measurement cache's atomic write, cross-process lock, byte budget,
+// cache-write fault stage and retry policy; a failed disk write is
+// counted in DiskWriteErrs and dropped. Callers store only complete,
+// successful results.
 func (e *Engine) StoreDerived(key, label string, payload []byte) {
+	e.derived.add(key, payload)
 	if e.disk == nil {
 		return
 	}
@@ -755,24 +786,58 @@ func (e *Engine) run(prog *isa.Program, input []byte, cfg *vm.Config) (*vm.Resul
 	return res, err
 }
 
+// loaded is the engine's per-program memo: the program's content
+// digest, hashed at most once, and its pre-decoded Image, built at
+// most once (and bound to a compiled body through the same digest).
+type loaded struct {
+	prog       *isa.Program
+	digestOnce sync.Once
+	digest     string
+	imageOnce  sync.Once
+	image      *vm.Image
+}
+
+// memo returns prog's loaded memo. The key is prog's address: a cached
+// entry keeps its program reachable, so the address cannot be recycled
+// while the entry lives, and the prog check guards the eviction race
+// where it can.
+func (e *Engine) memo(prog *isa.Program) *loaded {
+	return e.images.getOrAdd(fmt.Sprintf("%p", prog),
+		func(v any) bool { return v.(*loaded).prog == prog },
+		func() any { return &loaded{prog: prog} }).(*loaded)
+}
+
+// Digest returns isa.ProgramDigest(prog), hashing each compiled
+// program once while the engine keeps it: key derivations and the
+// codegen binding in image share the result.
+func (e *Engine) Digest(prog *isa.Program) string {
+	return e.memo(prog).digestValue(e)
+}
+
+func (l *loaded) digestValue(e *Engine) string {
+	l.digestOnce.Do(func() {
+		e.digests.Add(1)
+		l.digest = isa.ProgramDigest(l.prog)
+	})
+	return l.digest
+}
+
 // image returns the memoized pre-decoded form of prog, building it on
-// first use. The key is prog's address: a cached entry keeps its
-// program reachable, so the address cannot be recycled while the
-// entry lives, and the Program check guards the eviction race where
-// it can. This makes the one-time verify/pre-decode/fuse pass free
+// first use. This makes the one-time verify/pre-decode/fuse pass free
 // across the repeated runs the measurement matrix performs.
 func (e *Engine) image(prog *isa.Program) *vm.Image {
-	key := fmt.Sprintf("%p", prog)
-	if v, ok := e.images.get(key); ok {
-		if im := v.(*vm.Image); im.Program() == prog {
-			e.imageHits.Add(1)
-			return im
-		}
+	l := e.memo(prog)
+	hit := true
+	l.imageOnce.Do(func() {
+		hit = false
+		l.image = vm.LoadDigest(prog, func() string { return l.digestValue(e) })
+	})
+	if hit {
+		e.imageHits.Add(1)
+	} else {
+		e.imageMisses.Add(1)
 	}
-	e.imageMisses.Add(1)
-	im := vm.Load(prog)
-	e.images.add(key, im)
-	return im
+	return l.image
 }
 
 // funcNames maps a program's function indices to their names for the

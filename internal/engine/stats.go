@@ -119,6 +119,14 @@ type Stats struct {
 	ReplayMisses  uint64
 	ReplayInvalid uint64
 
+	// Evictions counts disk entries removed to keep the cache
+	// directory under Options.CacheMaxBytes.
+	Evictions uint64
+
+	// Digests counts program content digests hashed; the engine hashes
+	// each compiled program at most once while it keeps the program.
+	Digests uint64
+
 	// Robustness events. Panics counts stage panics recovered into
 	// structured errors; Retries counts cache I/O attempts retried after
 	// a transient fault; RetryGiveUps counts retry loops that exhausted
@@ -165,6 +173,8 @@ func (e *Engine) Stats() Stats {
 	s.ReplayHits = e.replayHits.Load()
 	s.ReplayMisses = e.replayMisses.Load()
 	s.ReplayInvalid = e.replayInvalid.Load()
+	s.Evictions = e.evictions.Load()
+	s.Digests = e.digests.Load()
 	s.Panics = e.st.panics.Load()
 	s.Retries = e.st.retries.Load()
 	s.RetryGiveUps = e.st.retryGiveUps.Load()
@@ -196,8 +206,11 @@ func (s Stats) String() string {
 	if s.DiskWriteErrs > 0 {
 		fmt.Fprintf(&b, ", %d write errors", s.DiskWriteErrs)
 	}
+	if s.Evictions > 0 {
+		fmt.Fprintf(&b, ", %d evicted", s.Evictions)
+	}
 	// The replay line appears only when derived entries were looked
-	// up, so output without a cache directory is unchanged.
+	// up.
 	if s.ReplayHits+s.ReplayMisses > 0 {
 		fmt.Fprintf(&b, "\nengine: replay cache %d/%d hits", s.ReplayHits, s.ReplayHits+s.ReplayMisses)
 		if s.ReplayInvalid > 0 {

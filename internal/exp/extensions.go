@@ -41,7 +41,7 @@ type DynRow struct {
 // (self, others, 1-bit, 2-bit, two-level, gshare, bimode), and the
 // break-to-break runs under self. It keeps summaries, never the raw
 // run-length slice, so a long-lived suite pins little memory and the
-// same value is what the engine's persistent cache stores
+// same value is what the engine's derived entries store
 // (replaycache.go).
 type tracedReplay struct {
 	Replay
@@ -83,56 +83,52 @@ func (s *Suite) replays() ([]tracedReplay, error) {
 }
 
 // replayProgram returns p's traced replay of its first dataset,
-// measured through eng. An engine with a persistent cache serves it
-// from there when an entry for exactly these inputs exists (see
-// replayKey), and otherwise traces the run and stores the result, so
-// a repeat run of the paper pipeline traces nothing. Without a cache
-// directory it just traces. Single-dataset programs reuse self as
-// others.
+// measured through eng. The engine serves it from its derived entries
+// when one exists for exactly these inputs (see replayKey), and
+// otherwise it traces the run and stores the result, so a repeat run
+// of the paper pipeline traces nothing. Single-dataset programs reuse
+// self as others.
 func replayProgram(ctx context.Context, eng *engine.Engine, p *ProgramRuns) (tracedReplay, error) {
-	r := p.Runs[0]
-	self, err := selfPrediction(p, r)
+	self, statics, err := replayTables(p)
 	if err != nil {
 		return tracedReplay{}, err
+	}
+	r := p.Runs[0]
+	input := p.InputFor(r)
+	return derive(eng, replayKey(eng, p.Prog, input, 0, statics), "replay:"+p.Workload.Name+"/"+r.Dataset,
+		func(b []byte) (tracedReplay, error) { return decodeTracedReplay(b, len(p.Prog.Sites)) },
+		func() (tracedReplay, error) { return traceReplay(ctx, eng, p, input, self, statics) },
+		encodeTracedReplay)
+}
+
+// replayTables returns the static tables p's replay scores: self, the
+// first dataset's own profile, and others, the scaled sum of the other
+// datasets' profiles (self again for a single-dataset program).
+func replayTables(p *ProgramRuns) (self *predict.Prediction, statics []StaticTable, err error) {
+	self, err = selfPrediction(p, p.Runs[0])
+	if err != nil {
+		return nil, nil, err
 	}
 	others := self
 	if p.Multi() {
 		others, err = predict.Combine(p.OtherProfiles(0), predict.Scaled, p.Prog.Sites, predict.LoopHeuristic)
 		if err != nil {
-			return tracedReplay{}, err
+			return nil, nil, err
 		}
 	}
-	input := p.InputFor(r)
-	if !eng.Persistent() {
-		return traceReplay(ctx, eng, p, input, self, others)
-	}
-	key := replayKey(p.Prog, input, self.TakenTable(), others.TakenTable())
-	label := "replay:" + p.Workload.Name + "/" + r.Dataset
-	var rp tracedReplay
-	if eng.LoadDerived(key, label, func(b []byte) (err error) {
-		rp, err = decodeReplay(b, len(p.Prog.Sites))
-		return err
-	}) {
-		return rp, nil
-	}
-	if rp, err = traceReplay(ctx, eng, p, input, self, others); err != nil {
-		return tracedReplay{}, err
-	}
-	eng.StoreDerived(key, label, encodeReplay(rp))
-	return rp, nil
+	return self, []StaticTable{{"self", self.TakenTable()}, {"others", others.TakenTable()}}, nil
 }
 
-// traceReplay runs p on input through TraceReplay with the self and
-// others tables and a run-length recorder under self attached. It
-// fails, and returns nothing to store, when the run fails or is
+// traceReplay runs p on input through TraceReplay with the statics
+// (self, then others) and a run-length recorder under self attached.
+// It fails, and returns nothing to store, when the run fails or is
 // cancelled or any tracer saw an out-of-range site.
-func traceReplay(ctx context.Context, eng *engine.Engine, p *ProgramRuns, input []byte, self, others *predict.Prediction) (tracedReplay, error) {
+func traceReplay(ctx context.Context, eng *engine.Engine, p *ProgramRuns, input []byte, self *predict.Prediction, statics []StaticTable) (tracedReplay, error) {
 	runs := runlength.New(self)
 	extra := []vm.Tracer{runs}
 	if replayProbe != nil {
 		extra = append(extra, replayProbe())
 	}
-	statics := []StaticTable{{"self", self.TakenTable()}, {"others", others.TakenTable()}}
 	rp, err := TraceReplay(ctx, eng, p.Prog, input, 0, statics, extra...)
 	if err != nil {
 		return tracedReplay{}, fmt.Errorf("exp: traced replay of %s: %w", p.Workload.Name, err)

@@ -119,7 +119,9 @@ var replayStudies = []func(*Suite) (string, error){
 // TestReplayStudiesShareOneReplay pins the shared traced replay: the
 // four replay studies, called concurrently on one fresh suite, run
 // exactly one traced replay per program between them, and render the
-// same bytes as a serial pass in the opposite order on another suite.
+// same bytes as a serial pass in the opposite order on another suite
+// and engine (the first engine would serve that suite's replays from
+// its derived entries).
 func TestReplayStudiesShareOneReplay(t *testing.T) {
 	eng, collect := replaySuite(t)
 	s := collect()
@@ -145,6 +147,7 @@ func TestReplayStudiesShareOneReplay(t *testing.T) {
 		t.Fatalf("concurrent studies ran %d engine runs, want one replay per program (%d)", got, want)
 	}
 
+	eng, collect = replaySuite(t)
 	s2 := collect()
 	before = eng.Stats().Runs
 	for i := len(replayStudies) - 1; i >= 0; i-- {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,16 +12,19 @@ import (
 	"sync"
 
 	"branchprof/internal/dynpred"
+	"branchprof/internal/engine"
 	"branchprof/internal/isa"
 	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
 )
 
-// A traced replay's summary is a pure function of its inputs, so an
-// engine with a persistent cache keeps it as a derived entry
-// (engine.LoadDerived/StoreDerived) next to the measurements it was
-// computed from. The engine stores the bytes; this file owns their
-// key and encoding.
+// A traced replay's summary is a pure function of its inputs, so the
+// engine keeps it as a derived entry (engine.LoadDerived/StoreDerived),
+// in memory and next to the measurements it was computed from. The
+// engine stores the bytes; this file owns their key and encoding, and
+// the lookup both callers share: the paper pipeline (self and others
+// tables plus a run-length tail) and POST /v1/h2p (one "profile"
+// table, the Replay part alone).
 
 // replayVersion versions the replay summary: its encoding and the
 // predictor and run-length rules that produce it. Bump it whenever a
@@ -46,21 +50,23 @@ func zooFingerprint(sites int) string {
 }
 
 // replayKey derives the derived-entry key of a program's traced
-// replay from everything the summary depends on: the program's
-// digest, the input bytes, the run configuration, the self and others
-// static direction tables bit for bit (so a change in predict or in
-// the collected profiles changes the key), the zoo, the VM semantics
-// and replayVersion.
-func replayKey(prog *isa.Program, input []byte, self, others []bool) string {
+// replay from everything the summary depends on: the program's digest
+// (memoized by eng), the input bytes, the run configuration with its
+// fuel, the static direction tables in order and bit for bit (so a
+// change in predict or in the profiles behind a table changes the
+// key), the zoo, the VM semantics and replayVersion. The tables' names
+// are not hashed, which keeps the pipeline's keys as they were before
+// tables had names; decoding checks them instead.
+func replayKey(eng *engine.Engine, prog *isa.Program, input []byte, fuel uint64, statics []StaticTable) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "branchprof-replay/%d\x00vm/%d\x00", replayVersion, vm.SemanticsVersion)
-	fmt.Fprintf(h, "prog=%s\x00cfg=%s\x00zoo=%s\x00", isa.ProgramDigest(prog), new(vm.Config).Fingerprint(), zooFingerprint(len(prog.Sites)))
+	fmt.Fprintf(h, "prog=%s\x00cfg=%s\x00zoo=%s\x00", eng.Digest(prog), (&vm.Config{Fuel: fuel}).Fingerprint(), zooFingerprint(len(prog.Sites)))
 	fmt.Fprintf(h, "in/%d\x00", len(input))
 	h.Write(input)
-	for _, dirs := range [][]bool{self, others} {
-		fmt.Fprintf(h, "\x00dirs/%d\x00", len(dirs))
-		bits := make([]byte, (len(dirs)+7)/8)
-		for i, d := range dirs {
+	for _, st := range statics {
+		fmt.Fprintf(h, "\x00dirs/%d\x00", len(st.Dirs))
+		bits := make([]byte, (len(st.Dirs)+7)/8)
+		for i, d := range st.Dirs {
 			if d {
 				bits[i/8] |= 1 << (i % 8)
 			}
@@ -70,13 +76,73 @@ func replayKey(prog *isa.Program, input []byte, self, others []bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// encodeReplay serializes a replay summary: unsigned varints for
-// counts and integers, IEEE-754 bits for floats (so every float,
-// ±Inf and NaN included, round-trips exactly) and length-prefixed
-// strings, in a fixed field order. It is a fixed field walk, like
-// isa.ProgramDigest, so the bytes cannot drift with library versions.
-func encodeReplay(rp tracedReplay) []byte {
+// derive serves a replay from eng's derived entries under key, and on
+// a miss computes it with trace and stores its encoding. A failed
+// trace stores nothing.
+func derive[T any](eng *engine.Engine, key, label string, decode func([]byte) (T, error), trace func() (T, error), encode func(T) []byte) (T, error) {
+	var v T
+	if eng.LoadDerived(key, label, func(b []byte) (err error) {
+		v, err = decode(b)
+		return err
+	}) {
+		return v, nil
+	}
+	v, err := trace()
+	if err != nil {
+		return v, err
+	}
+	eng.StoreDerived(key, label, encode(v))
+	return v, nil
+}
+
+// CachedReplay is TraceReplay served from eng's derived entries: an
+// entry for exactly these inputs (see replayKey) answers without a
+// run, and a miss traces and stores the Replay. A failed run, fuel
+// exhaustion included, stores nothing. label names the entry for
+// fault rules and logs.
+func CachedReplay(ctx context.Context, eng *engine.Engine, prog *isa.Program, label string, input []byte, fuel uint64, statics []StaticTable) (Replay, error) {
+	names := make([]string, len(statics))
+	for i, st := range statics {
+		names[i] = st.Name
+	}
+	return derive(eng, replayKey(eng, prog, input, fuel, statics), label,
+		func(b []byte) (Replay, error) { return decodeReplay(b, names, len(prog.Sites)) },
+		func() (Replay, error) { return TraceReplay(ctx, eng, prog, input, fuel, statics) },
+		encodeReplay)
+}
+
+// The replay codec writes unsigned varints for counts and integers,
+// IEEE-754 bits for floats (so every float, ±Inf and NaN included,
+// round-trips exactly) and length-prefixed strings, in a fixed field
+// order. It is a fixed field walk, like isa.ProgramDigest, so the
+// bytes cannot drift with library versions. A Replay encodes alone
+// (encodeReplay); the pipeline's entries append the run-length tail
+// (encodeTracedReplay).
+
+// encodeReplay serializes a Replay.
+func encodeReplay(rp Replay) []byte {
 	var w replayWriter
+	w.replay(rp)
+	return w.b
+}
+
+// encodeTracedReplay serializes a pipeline replay: its Replay, then
+// the run-length summary and histogram.
+func encodeTracedReplay(rp tracedReplay) []byte {
+	var w replayWriter
+	w.replay(rp.Replay)
+	st := rp.runs
+	w.uint(uint64(st.Count))
+	for _, f := range []float64{st.Mean, st.Median, st.P90, st.P99} {
+		w.float(f)
+	}
+	w.uint(st.Max)
+	w.float(st.CV)
+	w.str(rp.hist)
+	return w.b
+}
+
+func (w *replayWriter) replay(rp Replay) {
 	w.uint(uint64(len(rp.preds)))
 	for _, p := range rp.preds {
 		w.str(p.name)
@@ -97,70 +163,36 @@ func encodeReplay(rp tracedReplay) []byte {
 		w.float(s.MeanRun)
 		w.uint(s.MaxRun)
 	}
-	st := rp.runs
-	w.uint(uint64(st.Count))
-	for _, f := range []float64{st.Mean, st.Median, st.P90, st.P99} {
-		w.float(f)
-	}
-	w.uint(st.Max)
-	w.float(st.CV)
-	w.str(rp.hist)
-	return w.b
 }
 
 // errReplayEntry reports a derived entry that does not decode to a
 // replay summary of the expected shape.
 var errReplayEntry = errors.New("exp: malformed replay entry")
 
+// pipelineStatics are the paper pipeline's static table names.
+var pipelineStatics = []string{"self", "others"}
+
 // decodeReplay is encodeReplay's inverse for a program with the given
-// number of branch sites. It rejects any payload that is truncated,
-// has trailing bytes, is not encodeReplay's canonical encoding (an
-// overlong varint), or is not shaped like a replay of such a
-// program: the self, others and zoo schemes in report order, every
-// per-site table sized to the program, totals equal to the per-site
-// sums.
-func decodeReplay(b []byte, sites int) (tracedReplay, error) {
+// number of branch sites, traced with static tables of the given
+// names. It rejects any payload that is truncated, has trailing bytes,
+// is not the canonical encoding (an overlong varint), or is not shaped
+// like such a replay: the statics then the zoo schemes in report
+// order, every per-site table sized to the program, totals equal to
+// the per-site sums.
+func decodeReplay(b []byte, statics []string, sites int) (Replay, error) {
 	r := replayReader{b: b}
-	want := append([]string{"self", "others"}, zooSchemes()...)
-	var rp tracedReplay
-	if !r.expect(len(want)) {
-		return tracedReplay{}, errReplayEntry
+	rp := r.replay(statics, sites)
+	if r.err != nil || len(r.b) != 0 {
+		return Replay{}, errReplayEntry
 	}
-	rp.preds = make([]schemeCounts, len(want))
-	for i, name := range want {
-		p := schemeCounts{
-			name:        r.str(),
-			executed:    r.uint(),
-			mispredicts: r.uint(),
-			siteExec:    r.uints(sites),
-			siteMiss:    r.uints(sites),
-		}
-		if r.err != nil || p.name != name || sumCounts(p.siteExec) != p.executed || sumCounts(p.siteMiss) != p.mispredicts {
-			return tracedReplay{}, errReplayEntry
-		}
-		rp.preds[i] = p
-	}
-	rp.instrs = r.uint()
-	if !r.expect(sites) {
-		return tracedReplay{}, errReplayEntry
-	}
-	rp.sites = make([]runlength.SiteStats, sites)
-	for i := range rp.sites {
-		s := runlength.SiteStats{
-			Site:      int(r.uint()),
-			Executed:  r.uint(),
-			Taken:     r.uint(),
-			TakenRate: r.float(),
-			Entropy:   r.float(),
-			Runs:      r.uint(),
-			MeanRun:   r.float(),
-			MaxRun:    r.uint(),
-		}
-		if s.Site != i {
-			return tracedReplay{}, errReplayEntry
-		}
-		rp.sites[i] = s
-	}
+	return rp, nil
+}
+
+// decodeTracedReplay is encodeTracedReplay's inverse, with
+// decodeReplay's checks on the pipeline's self and others tables.
+func decodeTracedReplay(b []byte, sites int) (tracedReplay, error) {
+	r := replayReader{b: b}
+	rp := tracedReplay{Replay: r.replay(pipelineStatics, sites)}
 	rp.runs = runlength.Stats{
 		Count:  int(r.uint()),
 		Mean:   r.float(),
@@ -175,6 +207,57 @@ func decodeReplay(b []byte, sites int) (tracedReplay, error) {
 		return tracedReplay{}, errReplayEntry
 	}
 	return rp, nil
+}
+
+// replay reads a Replay part; a malformed one sets r.err.
+func (r *replayReader) replay(statics []string, sites int) Replay {
+	want := append(append([]string(nil), statics...), zooSchemes()...)
+	var rp Replay
+	if !r.expect(len(want)) {
+		return Replay{}
+	}
+	rp.preds = make([]schemeCounts, len(want))
+	for i, name := range want {
+		p := schemeCounts{
+			name:        r.str(),
+			executed:    r.uint(),
+			mispredicts: r.uint(),
+			siteExec:    r.uints(sites),
+			siteMiss:    r.uints(sites),
+		}
+		if r.err == nil && (p.name != name || sumCounts(p.siteExec) != p.executed || sumCounts(p.siteMiss) != p.mispredicts) {
+			r.err = errReplayEntry
+		}
+		if r.err != nil {
+			return Replay{}
+		}
+		rp.preds[i] = p
+	}
+	rp.instrs = r.uint()
+	if !r.expect(sites) {
+		return Replay{}
+	}
+	rp.sites = make([]runlength.SiteStats, sites)
+	for i := range rp.sites {
+		s := runlength.SiteStats{
+			Site:      int(r.uint()),
+			Executed:  r.uint(),
+			Taken:     r.uint(),
+			TakenRate: r.float(),
+			Entropy:   r.float(),
+			Runs:      r.uint(),
+			MeanRun:   r.float(),
+			MaxRun:    r.uint(),
+		}
+		if r.err == nil && s.Site != i {
+			r.err = errReplayEntry
+		}
+		if r.err != nil {
+			return Replay{}
+		}
+		rp.sites[i] = s
+	}
+	return rp
 }
 
 // sumCounts totals a per-site counter table.

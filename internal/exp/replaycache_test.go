@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -17,6 +18,8 @@ import (
 
 	"branchprof/internal/engine"
 	"branchprof/internal/faults"
+	"branchprof/internal/mfc"
+	"branchprof/internal/predict"
 	"branchprof/internal/runlength"
 	"branchprof/internal/vm"
 )
@@ -299,7 +302,7 @@ func TestReplayCacheSharedDir(t *testing.T) {
 				t.Fatal(err)
 			}
 			for e := range engs {
-				if !bytes.Equal(encodeReplay(got[e][i]), encodeReplay(want)) {
+				if !bytes.Equal(encodeTracedReplay(got[e][i]), encodeTracedReplay(want)) {
 					t.Errorf("round %d engine %d: %s replay differs from an uncached one", round, e, p.Workload.Name)
 				}
 			}
@@ -319,9 +322,9 @@ func TestReplayCacheSharedDir(t *testing.T) {
 // encode/decode bit for bit, ±Inf and NaN included, and no truncation
 // of a payload decodes.
 func TestReplayCodecRoundTrip(t *testing.T) {
-	// Every field encodeReplay walks. A new field on one of these types
-	// must be added to encodeReplay/decodeReplay, with a replayVersion
-	// bump; this tripwire names the type to look at.
+	// Every field the codec walks. A new field on one of these types
+	// must be added to the codec, with a replayVersion bump; this
+	// tripwire names the type to look at.
 	for _, c := range []struct {
 		v      any
 		fields int
@@ -329,7 +332,7 @@ func TestReplayCodecRoundTrip(t *testing.T) {
 		{tracedReplay{}, 3}, {Replay{}, 3}, {schemeCounts{}, 5}, {runlength.SiteStats{}, 8}, {runlength.Stats{}, 7},
 	} {
 		if got := reflect.TypeOf(c.v).NumField(); got != c.fields {
-			t.Errorf("%T has %d fields, the replay codec encodes %d: extend encodeReplay/decodeReplay and bump replayVersion",
+			t.Errorf("%T has %d fields, the replay codec encodes %d: extend the codec and bump replayVersion",
 				c.v, got, c.fields)
 		}
 	}
@@ -346,12 +349,13 @@ func TestReplayCodecRoundTrip(t *testing.T) {
 		rp.sites[0].MeanRun = math.NaN()
 		rp.runs.CV = math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with a payload
 		rp.runs.Mean = math.Copysign(0, -1)
-		enc := encodeReplay(rp)
-		dec, err := decodeReplay(enc, len(p.Prog.Sites))
+		enc := encodeTracedReplay(rp)
+		part := encodeReplay(rp.Replay)
+		dec, err := decodeTracedReplay(enc, len(p.Prog.Sites))
 		if err != nil {
 			t.Fatalf("%s: %v", p.Workload.Name, err)
 		}
-		if !bytes.Equal(encodeReplay(dec), enc) {
+		if !bytes.Equal(encodeTracedReplay(dec), enc) {
 			t.Fatalf("%s: decode/encode does not reproduce the payload", p.Workload.Name)
 		}
 		if bits := math.Float64bits(dec.runs.CV); bits != 0x7ff8_0000_dead_beef {
@@ -363,15 +367,35 @@ func TestReplayCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: decoded replay\n%+v\nwant\n%+v", p.Workload.Name, dec, rp)
 		}
 		for cut := 0; cut < len(enc); cut++ {
-			if _, err := decodeReplay(enc[:cut], len(p.Prog.Sites)); err == nil {
+			if _, err := decodeTracedReplay(enc[:cut], len(p.Prog.Sites)); err == nil {
 				t.Fatalf("%s: payload truncated to %d of %d bytes decoded", p.Workload.Name, cut, len(enc))
 			}
 		}
-		if _, err := decodeReplay(append(enc, 0), len(p.Prog.Sites)); err == nil {
+		if _, err := decodeTracedReplay(append(enc, 0), len(p.Prog.Sites)); err == nil {
 			t.Fatalf("%s: payload with a trailing byte decoded", p.Workload.Name)
 		}
-		if _, err := decodeReplay(enc, len(p.Prog.Sites)+1); err == nil {
+		if _, err := decodeTracedReplay(enc, len(p.Prog.Sites)+1); err == nil {
 			t.Fatalf("%s: payload decoded for a program with another site count", p.Workload.Name)
+		}
+
+		// The Replay part alone is a prefix of the pipeline's entry
+		// and round-trips on its own, for the static names it was
+		// traced with and no others.
+		if !bytes.HasPrefix(enc, part) {
+			t.Fatalf("%s: the Replay part is not a prefix of the pipeline entry", p.Workload.Name)
+		}
+		got, err := decodeReplay(part, pipelineStatics, len(p.Prog.Sites))
+		if err != nil || !bytes.Equal(encodeReplay(got), part) {
+			t.Fatalf("%s: Replay part does not round-trip: %v", p.Workload.Name, err)
+		}
+		if _, err := decodeReplay(part, []string{"self", "profile"}, len(p.Prog.Sites)); err == nil {
+			t.Fatalf("%s: Replay part decoded under other static names", p.Workload.Name)
+		}
+		if _, err := decodeReplay(part, []string{"self"}, len(p.Prog.Sites)); err == nil {
+			t.Fatalf("%s: Replay part decoded with a static table missing", p.Workload.Name)
+		}
+		if _, err := decodeReplay(enc, pipelineStatics, len(p.Prog.Sites)); err == nil {
+			t.Fatalf("%s: pipeline entry decoded as a bare Replay", p.Workload.Name)
 		}
 	}
 }
@@ -401,7 +425,7 @@ func TestReplayEntryGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Write([]byte(p.Workload.Name))
-		h.Write(encodeReplay(rp))
+		h.Write(encodeTracedReplay(rp))
 	}
 	got := hex.EncodeToString(h.Sum(nil))
 	if replayGolden.version != replayVersion {
@@ -425,10 +449,10 @@ func TestZooFingerprint(t *testing.T) {
 }
 
 // TestReplayKeySensitivity: every input of a replay changes its key —
-// the program, the input bytes, and each bit of the self and others
-// direction tables — and equal inputs give equal keys.
+// the program, the input bytes, the fuel, the number of static tables
+// and each bit of each table — and equal inputs give equal keys.
 func TestReplayKeySensitivity(t *testing.T) {
-	_, collect := replaySuite(t)
+	eng, collect := replaySuite(t)
 	s := collect()
 	a, b := s.Programs[0], s.Programs[1]
 	if len(a.Prog.Sites) == 0 {
@@ -442,20 +466,26 @@ func TestReplayKeySensitivity(t *testing.T) {
 		}
 		return d
 	}
-	base := replayKey(a.Prog, input, dirs(-1), dirs(-1))
-	if again := replayKey(a.Prog, append([]byte(nil), input...), dirs(-1), dirs(-1)); again != base {
+	tables := func(self, others int) []StaticTable {
+		return []StaticTable{{"self", dirs(self)}, {"others", dirs(others)}}
+	}
+	base := replayKey(eng, a.Prog, input, 0, tables(-1, -1))
+	if again := replayKey(eng, a.Prog, append([]byte(nil), input...), 0, tables(-1, -1)); again != base {
 		t.Fatal("equal inputs derive different keys")
 	}
 	flipped := append([]byte(nil), input...)
 	flipped[0] ^= 1
 	seen := map[string]string{base: "base"}
 	for name, k := range map[string]string{
-		"other program":  replayKey(b.Prog, input, dirs(-1), dirs(-1)),
-		"input byte":     replayKey(a.Prog, flipped, dirs(-1), dirs(-1)),
-		"input length":   replayKey(a.Prog, input[1:], dirs(-1), dirs(-1)),
-		"self tables":    replayKey(a.Prog, input, dirs(len(a.Prog.Sites)-1), dirs(-1)),
-		"others tables":  replayKey(a.Prog, input, dirs(-1), dirs(0)),
-		"swapped tables": replayKey(a.Prog, input, dirs(0), dirs(-1)),
+		"other program":  replayKey(eng, b.Prog, input, 0, tables(-1, -1)),
+		"input byte":     replayKey(eng, a.Prog, flipped, 0, tables(-1, -1)),
+		"input length":   replayKey(eng, a.Prog, input[1:], 0, tables(-1, -1)),
+		"fuel":           replayKey(eng, a.Prog, input, 1_000_000, tables(-1, -1)),
+		"other fuel":     replayKey(eng, a.Prog, input, 2_000_000, tables(-1, -1)),
+		"self tables":    replayKey(eng, a.Prog, input, 0, tables(len(a.Prog.Sites)-1, -1)),
+		"others tables":  replayKey(eng, a.Prog, input, 0, tables(-1, 0)),
+		"swapped tables": replayKey(eng, a.Prog, input, 0, tables(0, -1)),
+		"one table":      replayKey(eng, a.Prog, input, 0, tables(-1, -1)[:1]),
 	} {
 		if prev, dup := seen[k]; dup {
 			t.Errorf("%s derives the same key as %s", name, prev)
@@ -464,10 +494,61 @@ func TestReplayKeySensitivity(t *testing.T) {
 	}
 }
 
-// FuzzReplayDecode feeds decodeReplay arbitrary bytes for a few site
-// counts. It must never panic, and any payload it accepts must be the
-// canonical encoding of what it decoded: re-encoding reproduces the
-// bytes, so one summary has exactly one accepted entry.
+// TestReplayKeyHashesProgramOnce: the program digest in a replay key
+// is the engine's memo, so a second key derivation for the same
+// *isa.Program, and the run that loads its image, hash nothing.
+func TestReplayKeyHashesProgramOnce(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	w := replayWorkloads()[0]
+	prog, err := eng.Compile(w.Name, w.Source, mfc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := w.Datasets[0].Gen()
+	statics := []StaticTable{{"profile", make([]bool, len(prog.Sites))}}
+	k1 := replayKey(eng, prog, input, 0, statics)
+	k2 := replayKey(eng, prog, input, 5000, statics)
+	if k1 == k2 {
+		t.Fatal("fuel does not change the key")
+	}
+	if _, err := CachedReplay(context.Background(), eng, prog, "replay:t", input, 0, statics); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Stats().Digests; got != 1 {
+		t.Fatalf("two key derivations and a traced run hashed the program %d times, want 1", got)
+	}
+}
+
+// TestReplayKeysGolden pins the derived-entry keys of the paper
+// pipeline's 15 traced replays (testdata/replay_keys.txt), so a cache
+// directory filled by an earlier build keeps serving them. A key moves
+// only with its inputs, replayVersion or vm.SemanticsVersion.
+func TestReplayKeysGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "replay_keys.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := suite(t)
+	var got strings.Builder
+	for _, p := range s.Programs {
+		_, statics, err := replayTables(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%s %s\n", p.Workload.Name, replayKey(Engine(), p.Prog, p.InputFor(p.Runs[0]), 0, statics))
+	}
+	if got.String() != string(want) {
+		t.Fatalf("pipeline replay keys moved:\n got:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
+// FuzzReplayDecode feeds the replay decoders arbitrary bytes for a few
+// site counts, in both entry shapes: the pipeline's (self, others and
+// the zoo, then the run-length tail) and POST /v1/h2p's (one "profile"
+// table and the zoo, nothing after). They must never panic, and any
+// payload one accepts must be the canonical encoding of what it
+// decoded: re-encoding reproduces the bytes, so one summary has
+// exactly one accepted entry.
 func FuzzReplayDecode(f *testing.F) {
 	eng := engine.New(engine.Options{})
 	s, err := CollectCtx(context.Background(), eng, CollectOptions{Workloads: replayWorkloads()})
@@ -475,22 +556,32 @@ func FuzzReplayDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	sites := []int{0, 1}
+	profile := []string{"profile"}
 	for _, p := range s.Programs {
 		rp, err := replayProgram(context.Background(), eng, p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(encodeReplay(rp))
+		f.Add(encodeTracedReplay(rp))
+		statics := []StaticTable{{"profile", predict.FromHeuristic(p.Prog.Sites, predict.LoopHeuristic).TakenTable()}}
+		part, err := CachedReplay(context.Background(), eng, p.Prog, "replay:fuzz", p.InputFor(p.Runs[0]), 0, statics)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(encodeReplay(part))
 		sites = append(sites, len(p.Prog.Sites))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, n := range sites {
-			rp, err := decodeReplay(b, n)
-			if err != nil {
-				continue
+			if rp, err := decodeTracedReplay(b, n); err == nil {
+				if enc := encodeTracedReplay(rp); !bytes.Equal(enc, b) {
+					t.Fatalf("pipeline payload accepted for %d sites re-encodes differently:\n in  %x\n out %x", n, b, enc)
+				}
 			}
-			if enc := encodeReplay(rp); !bytes.Equal(enc, b) {
-				t.Fatalf("payload accepted for %d sites re-encodes differently:\n in  %x\n out %x", n, b, enc)
+			if rp, err := decodeReplay(b, profile, n); err == nil {
+				if enc := encodeReplay(rp); !bytes.Equal(enc, b) {
+					t.Fatalf("profile payload accepted for %d sites re-encodes differently:\n in  %x\n out %x", n, b, enc)
+				}
 			}
 		}
 	})

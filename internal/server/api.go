@@ -572,6 +572,10 @@ func classify(err error) (int, string) {
 				return http.StatusUnprocessableEntity, "runtime trap: " + trimEngine(err)
 			}
 		}
+	} else if isTrap(err) {
+		// A run outside the staged pipeline (Engine.RunContext, under
+		// the traced h2p replay) reports the VM's trap unwrapped.
+		return http.StatusUnprocessableEntity, "runtime trap: " + err.Error()
 	}
 	return http.StatusInternalServerError, "internal error: " + err.Error()
 }

@@ -26,8 +26,11 @@ import (
 //     1-bit, 2-bit, two-level, gshare, bi-mode) plus the per-branch
 //     outcome recorder, and ranks sites by their minimum MPKI across
 //     schemes — the real H2P score. It is the paper pipeline's traced
-//     replay and ranking (exp.TraceReplay, Replay.H2P) with one
-//     "profile" table in place of self/others.
+//     replay and ranking (exp.CachedReplay, Replay.H2P) with one
+//     "profile" table in place of self/others. The replay is an engine
+//     derived entry keyed by the program, input, fuel and the profile
+//     table bit for bit, so a repeat request traces nothing until a
+//     stored profile flips a predicted direction.
 
 // h2pProfileSite is one ranked branch in the profile-only (GET) report.
 type h2pProfileSite struct {
@@ -176,8 +179,9 @@ func (s *Server) handleH2PProfiles(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleH2PTraced compiles the submitted program, runs it once with
-// the full predictor zoo attached, and ranks its branches by minimum
-// MPKI across schemes.
+// the full predictor zoo attached (or reads that run's replay from the
+// engine's derived entries), and ranks its branches by minimum MPKI
+// across schemes.
 func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 	var req h2pRequest
 	if !s.decodeBody(w, r, &req) {
@@ -247,7 +251,8 @@ func (s *Server) handleH2PTraced(w http.ResponseWriter, r *http.Request) {
 		fuel = s.opts.MaxFuel
 	}
 	statics := []exp.StaticTable{{Name: "profile", Dirs: pr.TakenTable()}}
-	rp, err := exp.TraceReplay(r.Context(), s.eng, prog, []byte(req.Input), fuel, statics)
+	label := "replay:" + req.Program + "/" + req.Dataset
+	rp, err := exp.CachedReplay(r.Context(), s.eng, prog, label, []byte(req.Input), fuel, statics)
 	s.feedEngineDiskHealth()
 	if errors.Is(err, exp.ErrTracerContract) {
 		// Predictors sized from the compiled program can only trip this

@@ -211,10 +211,9 @@ func TestH2PGolden(t *testing.T) {
 	check("post_trained", "POST", "/v1/h2p", traced("count", "alternating", "abababababababab", 0, 0))
 	check("post_trained_n1", "POST", "/v1/h2p", traced("count", "alternating", "abababababababab", 1, 0))
 	check("post_heuristic", "POST", "/v1/h2p", traced("nameless", "", "ab", 0, 0))
-	// A fuel-exhausted traced run is answered 500, not 422: the engine's
-	// RunContext returns the VM's error without a stage wrapper, so
-	// classify does not recognise it as the program's trap. The body
-	// pins that behaviour until classify learns the bare VM errors.
+	// A fuel-exhausted traced run is the program's trap, 422, although
+	// the engine's RunContext returns the VM's error without a stage
+	// wrapper.
 	check("post_fuel", "POST", "/v1/h2p", traced("count", "long", strings.Repeat("ab", 64), 0, 50))
 
 	profile("count", "mostly-a", mixSrc, "aaab")
@@ -237,4 +236,119 @@ func doRaw(t *testing.T, s *Server, method, path string, body any) (int, []byte)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, &buf))
 	return rec.Code, rec.Body.Bytes()
+}
+
+// engineGauge reads one of the engine's gauges from its Prometheus
+// export.
+func engineGauge(t *testing.T, s *Server, name string) string {
+	t.Helper()
+	var prom strings.Builder
+	if err := s.eng.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return v
+		}
+	}
+	t.Fatalf("Prometheus export lacks %s", name)
+	return ""
+}
+
+// TestH2PTracedCached: a repeat traced POST /v1/h2p is served from the
+// engine's derived entries with the same bytes and no run; a stored
+// profile that leaves every predicted direction alone keeps it cached,
+// one that flips a direction makes the next request trace again.
+func TestH2PTracedCached(t *testing.T) {
+	s := newTestServer(t, Options{Concurrency: 2})
+	profile := func(dataset, input string) {
+		t.Helper()
+		if code := doJSON(t, s, "POST", "/v1/profile", profileBody("count", dataset, mixSrc, input), nil); code != http.StatusOK {
+			t.Fatalf("profile %s = %d", dataset, code)
+		}
+	}
+	body := h2pBody("count", "alternating", mixSrc, "abababababababab", 0)
+	// post sends body and reports the reply with how many engine runs
+	// and replay hits it cost.
+	post := func() (reply []byte, runs, hits uint64) {
+		t.Helper()
+		before := s.eng.Stats()
+		code, got := doRaw(t, s, "POST", "/v1/h2p", body)
+		if code != http.StatusOK {
+			t.Fatalf("traced h2p = %d: %s", code, got)
+		}
+		after := s.eng.Stats()
+		return got, after.Runs - before.Runs, after.ReplayHits - before.ReplayHits
+	}
+
+	profile("rare-a", "bbbbbbbbbbbbbba")
+	first, runs, hits := post()
+	if runs != 1 || hits != 0 {
+		t.Fatalf("first request: %d runs, %d replay hits; want one traced run", runs, hits)
+	}
+	hitsGauge := engineGauge(t, s, "branchprof_engine_replay_hits")
+	second, runs, hits := post()
+	if !bytes.Equal(second, first) {
+		t.Fatalf("repeat request answered\n%s\nfirst answer\n%s", second, first)
+	}
+	if runs != 0 || hits != 1 {
+		t.Fatalf("repeat request: %d runs, %d replay hits; want 0 and 1", runs, hits)
+	}
+	if got := engineGauge(t, s, "branchprof_engine_replay_hits"); got == hitsGauge {
+		t.Fatalf("branchprof_engine_replay_hits stayed at %s", got)
+	}
+
+	// Another dataset with the same majority directions changes the
+	// stored profiles (and trained_on) but not the table: still cached.
+	profile("rarer-a", "bbbbbbbbbbbbbbbbbbbbbba")
+	if reply, runs, hits := post(); runs != 0 || hits != 1 {
+		t.Fatalf("after a direction-preserving profile: %d runs, %d replay hits; want a hit", runs, hits)
+	} else if bytes.Equal(reply, first) {
+		t.Fatal("trained_on did not grow with the new dataset")
+	}
+
+	// Two datasets where the if is mostly taken outvote the two where
+	// it is rare: its predicted direction flips, and so does the key.
+	profile("mostly-a", "aaaaaaaaaaaaaab")
+	profile("all-a", "aaaaaaaaaaaaaaaaaaaa")
+	if _, runs, hits := post(); runs != 1 || hits != 0 {
+		t.Fatalf("after a direction-flipping profile: %d runs, %d replay hits; want a traced miss", runs, hits)
+	}
+	if _, runs, hits := post(); runs != 0 || hits != 1 {
+		t.Fatalf("repeat after the flip: %d runs, %d replay hits; want a hit", runs, hits)
+	}
+}
+
+// TestH2PTracedFuel: a fuel-exhausted traced run answers 422 and
+// stores nothing, so repeating it traces again; a different fuel is a
+// different entry, and a retry with enough fuel traces once and then
+// hits.
+func TestH2PTracedFuel(t *testing.T) {
+	s := newTestServer(t, Options{Concurrency: 2})
+	input := strings.Repeat("ab", 64)
+	post := func(fuel uint64) (code int, runs, hits uint64) {
+		t.Helper()
+		b := h2pBody("count", "long", mixSrc, input, 0)
+		b["fuel"] = fuel
+		before := s.eng.Stats()
+		code, _ = doRaw(t, s, "POST", "/v1/h2p", b)
+		after := s.eng.Stats()
+		return code, after.Runs - before.Runs, after.ReplayHits - before.ReplayHits
+	}
+	for i := 0; i < 2; i++ {
+		if code, runs, hits := post(50); code != http.StatusUnprocessableEntity || runs != 1 || hits != 0 {
+			t.Fatalf("fuel-exhausted request %d: status %d, %d runs, %d hits; want 422 with a fresh run", i, code, runs, hits)
+		}
+	}
+	if st := s.eng.Stats(); st.ReplayHits != 0 {
+		t.Fatalf("a fuel-exhausted run left a derived entry: %d replay hits", st.ReplayHits)
+	}
+	for _, fuel := range []uint64{1 << 20, 1 << 21} {
+		if code, runs, hits := post(fuel); code != http.StatusOK || runs != 1 || hits != 0 {
+			t.Fatalf("fuel %d, first request: status %d, %d runs, %d hits; want a traced 200", fuel, code, runs, hits)
+		}
+		if code, runs, hits := post(fuel); code != http.StatusOK || runs != 0 || hits != 1 {
+			t.Fatalf("fuel %d, repeat: status %d, %d runs, %d hits; want a cached 200", fuel, code, runs, hits)
+		}
+	}
 }

@@ -58,17 +58,26 @@ func RegisterCompiled(digest string, fn CompiledFunc) {
 // CompiledFor returns the registered compiled body for p, or nil.
 // The digest is only computed when at least one body is registered,
 // so builds without generated code pay nothing at Load.
-func CompiledFor(p *isa.Program) CompiledFunc {
+func CompiledFor(p *isa.Program) CompiledFunc { return compiledFor(digestOf(p)) }
+
+// compiledFor is CompiledFor for the program whose digest returns,
+// called only when a body is registered (see LoadDigest).
+func compiledFor(digest func() string) CompiledFunc {
 	compiledMu.Lock()
 	n := len(compiledReg)
 	compiledMu.Unlock()
 	if n == 0 {
 		return nil
 	}
-	d := isa.ProgramDigest(p)
+	d := digest()
 	compiledMu.Lock()
 	defer compiledMu.Unlock()
 	return compiledReg[d]
+}
+
+// digestOf hashes p on demand.
+func digestOf(p *isa.Program) func() string {
+	return func() string { return isa.ProgramDigest(p) }
 }
 
 // SetCompiledEnabled turns dispatch to compiled bodies on or off

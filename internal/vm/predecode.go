@@ -318,7 +318,13 @@ func (im *Image) Program() *isa.Program { return im.prog }
 // terminators, out-of-range targets or sites) are marked for the
 // reference interpreter instead, which reproduces their trap and
 // panic behaviour exactly.
-func Load(p *isa.Program) *Image {
+func Load(p *isa.Program) *Image { return LoadDigest(p, digestOf(p)) }
+
+// LoadDigest is Load for a caller that memoizes p's isa.ProgramDigest
+// (the engine does, per program): digest returns it and is called
+// only when a compiled body could bind, so the program is hashed at
+// most once across Load and the caller's own uses.
+func LoadDigest(p *isa.Program, digest func() string) *Image {
 	im := &Image{prog: p}
 	im.funcBase = make([]int, len(p.Funcs))
 	base := 0
@@ -330,7 +336,7 @@ func Load(p *isa.Program) *Image {
 		im.fallback = true
 		return im
 	}
-	im.compiled = CompiledFor(p)
+	im.compiled = compiledFor(digest)
 	im.fmeta = make([]funcMeta, len(p.Funcs))
 	for fi := range p.Funcs {
 		f := &p.Funcs[fi]
